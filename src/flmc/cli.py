@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .drift import (DriftOverflowError, FullCentered, Simplified,
-                    UndefinedDiagnosticError, kappa)
+from .drift import DriftOverflowError, FullCentered, Simplified, kappa
 from .oracle import QuadratureError, QuadratureSpec, quadrature_expectation
 from .sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                       run_chain, run_repeats)
@@ -105,29 +104,10 @@ def drift_label(spec) -> str:
     return f"full:{spec.h!r},{spec.K!r}"
 
 
-def parse_alpha_list(text: str):
+def parse_list(text: str, flag: str, kind=float):
+    """Comma-separated values of a list-valued flag, each converted by kind."""
     try:
-        alphas = tuple(float(v) for v in text.split(","))
-    except ValueError as e:
-        raise UsageError(f"bad alpha list '{text}': {e}") from None
-    if not alphas:
-        raise UsageError("empty alpha list")
-    return alphas
-
-
-def parse_float_list(text: str, flag: str):
-    try:
-        vals = tuple(float(v) for v in text.split(","))
-    except ValueError as e:
-        raise UsageError(f"bad {flag} list '{text}': {e}") from None
-    if not vals:
-        raise UsageError(f"empty {flag} list")
-    return vals
-
-
-def parse_int_list(text: str, flag: str):
-    try:
-        vals = tuple(int(v) for v in text.split(","))
+        vals = tuple(kind(v) for v in text.split(","))
     except ValueError as e:
         raise UsageError(f"bad {flag} list '{text}': {e}") from None
     if not vals:
@@ -332,7 +312,7 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
         "repeats": repeats,
         "init": init_policy,
         "truth": truth,
-        "schedule_grid": [schedule_label(s) for s in SCHEDULE_GRID],
+        "schedule_grid": [schedule_label(s) for s in grid],
         "cells": cells,
         "bias_aggregation": "mean of absolute errors over repeats",
     }
@@ -434,8 +414,8 @@ def cmd_sample(args) -> int:
 def cmd_bias_k(args) -> int:
     truth = resolve_truth(args.fixtures)
     report = bias_sweep_report(
-        double_well_target(), parse_alpha_list(args.alpha),
-        (args.h,), parse_int_list(args.k_list, "K"),
+        double_well_target(), parse_list(args.alpha, "alpha"),
+        (args.h,), parse_list(args.k_list, "K", int),
         parse_schedule(args.schedule), args.n, args.repeats, args.seed,
         args.init, truth)
     write_report(report, _outpath(args, "bias_k.csv"))
@@ -445,8 +425,8 @@ def cmd_bias_k(args) -> int:
 def cmd_bias_h(args) -> int:
     truth = resolve_truth(args.fixtures)
     report = bias_sweep_report(
-        double_well_target(), parse_alpha_list(args.alpha),
-        parse_float_list(args.h_list, "h"), (args.K,),
+        double_well_target(), parse_list(args.alpha, "alpha"),
+        parse_list(args.h_list, "h"), (args.K,),
         parse_schedule(args.schedule), args.n, args.repeats, args.seed,
         args.init, truth)
     write_report(report, _outpath(args, "bias_h.csv"))
@@ -454,7 +434,7 @@ def cmd_bias_h(args) -> int:
 
 
 def cmd_kappa(args) -> int:
-    report = kappa_report(double_well_target(), parse_alpha_list(args.alpha),
+    report = kappa_report(double_well_target(), parse_list(args.alpha, "alpha"),
                           args.h, args.k_star, args.grid_lo, args.grid_hi,
                           args.grid_n)
     if not args.dump_points:
@@ -466,14 +446,14 @@ def cmd_kappa(args) -> int:
 def cmd_alpha_sweep(args) -> int:
     truth = resolve_truth(args.fixtures)
     report = alpha_sweep_report(double_well_target(),
-                                parse_alpha_list(args.alpha), args.n,
+                                parse_list(args.alpha, "alpha"), args.n,
                                 args.repeats, args.seed, args.init, truth)
     write_report(report, _outpath(args, "alpha_sweep.csv"))
     return 0
 
 
 def cmd_mf(args) -> int:
-    report = mf_report(parse_alpha_list(args.alpha), args.I, args.J, args.L,
+    report = mf_report(parse_list(args.alpha, "alpha"), args.I, args.J, args.L,
                        args.data_seed, parse_schedule(args.schedule), args.n,
                        args.batch, args.seed, args.stride)
     write_report(report, _outpath(args, "mf.csv"))
@@ -587,8 +567,7 @@ def main(argv=None) -> int:
                 "cause": str(e.cause)}
         print(json.dumps(diag, sort_keys=True))
         return 1
-    except (DriftOverflowError, UndefinedDiagnosticError, QuadratureError,
-            OSError) as e:
+    except (DriftOverflowError, QuadratureError, OSError) as e:
         print(json.dumps({"error": type(e).__name__, "detail": str(e)},
                          sort_keys=True))
         return 1

@@ -4,8 +4,13 @@ Three variants. The full centered drift divides a truncated fractional
 derivative of f(x) = -exp(-U(x)) U'(x) by exp(-U(x)); computed naively the
 exponentials overflow, so everything runs in the factored form with the
 largest exponent pulled out. The simplified drift is -c_alpha * grad U and
-works in any dimension. The reference drift is the full drift at a large
-truncation K_star, used as the stand-in for the untruncated operator.
+works in any dimension (the sampler applies it inline). The reference drift
+is the full drift at a large truncation K_star, used as the stand-in for the
+untruncated operator.
+
+The full drift, the r diagnostic and kappa all evaluate through the one
+riesz stencil: build_stencil supplies the nodes and weights, cached per
+(gamma, h, K), and riesz.ascending_sum does the summation.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import _half_coeffs, c_alpha
+from .riesz import RieszStencil, ascending_sum, build_stencil, c_alpha
 from .targets import Target
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
     "Reference",
     "full_drift",
     "full_drift_multi",
-    "simplified_drift",
     "r_diagnostic",
     "kappa",
     "KappaResult",
@@ -89,11 +93,6 @@ def _check_alpha(alpha: float) -> float:
     return alpha - 2.0
 
 
-def simplified_drift(target: Target, x, alpha: float):
-    """-c_alpha * grad U(x); the only drift available for D > 1 at scale."""
-    return -c_alpha(alpha) * target.gradient(x)
-
-
 def _eval_nodes(fn, nodes: np.ndarray) -> np.ndarray:
     # vectorized call when the target supports it, per-node otherwise
     try:
@@ -105,37 +104,31 @@ def _eval_nodes(fn, nodes: np.ndarray) -> np.ndarray:
     return np.array([float(fn(v)) for v in nodes])
 
 
-def _scaled_terms(u_of, du_of, x: float, h: float, K: int, gamma: float):
+def _scaled_terms(stencil: RieszStencil, u_of, du_of, x: float):
     """Signed stencil terms with the max exponent factored out.
 
-    Returns (ell_star, terms) where terms[i] corresponds to node order
-    k = 0, -1, +1, -2, +2, ... and the true drift is
-    exp(ell_star) / h**gamma times the term sum.
+    Returns (ell_star, terms) in the stencil's node order; the true drift is
+    exp(ell_star) / h**gamma times the term sum. Callers decide what an
+    ell_star above _EXP_MAX means.
     """
-    g = _half_coeffs(gamma, K)
-    u_x = float(u_of(x))
-    ks = np.empty(2 * K + 1, dtype=int)
-    ks[0] = 0
-    ks[1::2] = -np.arange(1, K + 1)
-    ks[2::2] = np.arange(1, K + 1)
-    nodes = x - ks * h
-    ells = u_x - _eval_nodes(u_of, nodes)
+    nodes = stencil.nodes(x)
+    ells = float(u_of(x)) - _eval_nodes(u_of, nodes)
     grads = _eval_nodes(du_of, nodes)
     ell_star = float(np.max(ells))
-    if ell_star > _EXP_MAX:
-        raise DriftOverflowError(x, ell_star)
-    terms = g[np.abs(ks)] * (-grads) * np.exp(ells - ell_star)
+    terms = stencil.weights * (-grads) * np.exp(ells - ell_star)
     return ell_star, terms
 
 
-def _ascending_sum(terms: np.ndarray) -> float:
-    # sequential left-to-right accumulation in ascending magnitude; ties keep
-    # node order, so symmetric stencils cancel +-k pairs exactly
-    order = np.argsort(np.abs(terms), kind="stable")
-    total = 0.0
-    for v in terms[order]:
-        total += float(v)
-    return total
+def _drift_value(stencil: RieszStencil, u_of, du_of, x: float,
+                 where, axis=None) -> float:
+    """The full drift at x; an overflow raises naming `where` and `axis`."""
+    ell_star, terms = _scaled_terms(stencil, u_of, du_of, x)
+    if ell_star > _EXP_MAX:
+        raise DriftOverflowError(where, ell_star, axis)
+    out = math.exp(ell_star) / stencil.h**stencil.gamma * ascending_sum(terms)
+    if not math.isfinite(out):
+        raise DriftOverflowError(where, ell_star, axis)
+    return out
 
 
 def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> float:
@@ -149,12 +142,8 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
     if gamma == 0.0:
         # zeroth-order operator is the identity: drift is exactly -U'(x)
         return float(-target.gradient(x))
-    ell_star, terms = _scaled_terms(target.potential, target.gradient,
-                                    float(x), spec.h, spec.K, gamma)
-    out = math.exp(ell_star) / spec.h**gamma * _ascending_sum(terms)
-    if not math.isfinite(out):
-        raise DriftOverflowError(x, ell_star)
-    return out
+    stencil = build_stencil(gamma, spec.h, spec.K)
+    return _drift_value(stencil, target.potential, target.gradient, float(x), x)
 
 
 def full_drift_multi(target: Target, x, spec: FullCentered, alpha: float) -> np.ndarray:
@@ -163,6 +152,7 @@ def full_drift_multi(target: Target, x, spec: FullCentered, alpha: float) -> np.
     x = np.asarray(x, dtype=float)
     if gamma == 0.0:
         return -np.asarray(target.gradient(x), dtype=float)
+    stencil = build_stencil(gamma, spec.h, spec.K)
     out = np.empty_like(x)
     for d in range(x.size):
         def u_of(v, d=d):
@@ -175,24 +165,17 @@ def full_drift_multi(target: Target, x, spec: FullCentered, alpha: float) -> np.
             p[d] = v
             return float(np.asarray(target.gradient(p))[d])
 
-        try:
-            ell_star, terms = _scaled_terms(u_of, du_of, float(x[d]),
-                                            spec.h, spec.K, gamma)
-        except DriftOverflowError as e:
-            raise DriftOverflowError(x, e.ell_star, axis=d) from None
-        val = math.exp(ell_star) / spec.h**gamma * _ascending_sum(terms)
-        if not math.isfinite(val):
-            raise DriftOverflowError(x, ell_star, axis=d)
-        out[d] = val
+        out[d] = _drift_value(stencil, u_of, du_of, float(x[d]), x, axis=d)
     return out
 
 
 def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> float:
     """Truncation-quality diagnostic at x.
 
-    |1 + sum_{k != 0} (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma) with
-    f = -exp(-U) U', evaluated as exp(m / gamma) * |S| ** (1 / gamma) so the
-    exponentials stay in range. Undefined at stationary points of U.
+    |sum_k (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma) with
+    f = -exp(-U) U', i.e. the full-drift stencil sum S over g_0 U'(x):
+    r = exp(ell* / gamma) * |S / (g_0 U'(x))| ** (1 / gamma), which keeps
+    the exponentials in range. Undefined at stationary points of U.
     """
     gamma = _check_alpha(alpha)
     if gamma == 0.0:
@@ -200,19 +183,14 @@ def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> 
     du_x = float(target.gradient(x))
     if du_x == 0.0:
         raise UndefinedDiagnosticError(f"U'(x) = 0 at x={x!r}")
-    g = _half_coeffs(gamma, K_x)
-    u_x = float(target.potential(x))
-    ks = np.concatenate([-np.arange(1, K_x + 1), np.arange(1, K_x + 1)])
-    nodes = x - ks * h
-    ells = u_x - _eval_nodes(target.potential, nodes)
-    ratios = _eval_nodes(target.gradient, nodes) / du_x
-    m = max(float(np.max(ells)), 0.0)
-    terms = np.append((g[np.abs(ks)] / g[0]) * ratios * np.exp(ells - m),
-                      math.exp(-m))  # the +1 inside the bracket, rescaled
-    s = _ascending_sum(terms)
+    stencil = build_stencil(gamma, h, K_x)
+    ell_star, terms = _scaled_terms(stencil, target.potential, target.gradient,
+                                    float(x))
+    s = ascending_sum(terms)
     if s == 0.0:
         return math.inf
-    return math.exp(m / gamma) * abs(s) ** (1.0 / gamma)
+    g_0 = float(stencil.coeffs[0])
+    return math.exp(ell_star / gamma) * abs(s / (g_0 * du_x)) ** (1.0 / gamma)
 
 
 @dataclass(frozen=True)
@@ -238,18 +216,19 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     if grid.size == 0:
         raise ValueError("empty grid")
     ca = c_alpha(alpha)
+    stencil = build_stencil(gamma, h, K_star)
     per_point = np.full(grid.size, np.nan)
     skipped = 0
     for i, x in enumerate(grid):
         x = float(x)
-        try:
-            ell_star, terms = _scaled_terms(target.potential, target.gradient,
-                                            x, h, K_star, gamma)
-            scale = math.exp(ell_star) / h**gamma
-        except (DriftOverflowError, OverflowError) as e:
-            log.warning("kappa: skipping grid point %r (%s)", x, e)
+        ell_star, terms = _scaled_terms(stencil, target.potential,
+                                        target.gradient, x)
+        if ell_star > _EXP_MAX:
+            log.warning("kappa: skipping grid point %r (drift overflow, "
+                        "exponent %r)", x, ell_star)
             skipped += 1
             continue
+        scale = math.exp(ell_star) / h**gamma
         # terms are ordered (0, -1, +1, -2, +2, ...): widen center-outward
         s0 = terms[0]
         pair_sums = terms[1::2] + terms[2::2]

@@ -9,11 +9,16 @@ with g_{gamma,k} = (-1)^k Gamma(gamma+1) / (Gamma(gamma/2-k+1) * Gamma(gamma/2+k
 Coefficients are generated from g_0 by a two-term recurrence instead of the
 raw Gamma formula: the raw form hits Gamma poles at gamma in {0, 2} (where
 the true coefficients are exactly zero) and loses precision for large k.
+
+This module owns the stencil: build_stencil fixes the node layout and the
+weights once per (gamma, h, K), and ascending_sum is the one summation every
+consumer uses, the fractional drift and its diagnostics included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gamma as _gamma_fn
 
 import numpy as np
@@ -22,6 +27,7 @@ __all__ = [
     "RieszStencil",
     "coeff",
     "build_stencil",
+    "ascending_sum",
     "truncated_centered_difference",
     "c_alpha",
     "NodeEvaluationError",
@@ -57,48 +63,79 @@ def coeff(gamma: float, k: int) -> float:
     return float(_half_coeffs(gamma, abs(int(k)))[-1])
 
 
+# distinct (gamma, h, K) triples kept alive; a sweep uses a handful
+_STENCIL_CACHE_SIZE = 64
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class RieszStencil:
-    """Precomputed half-stencil: coeffs[k] = g_{gamma,k} for k = 0..K."""
+    """The 2K+1 nodes of D_{h,K}^gamma, in centre-outward order.
+
+    coeffs[k] = g_{gamma,k} for k = 0..K; offsets = 0, -1, +1, -2, +2, ...
+    place node i at x - offsets[i]*h; weights = coeffs[|offsets|]. The arrays
+    are read-only because build_stencil hands one instance to every caller.
+    """
 
     gamma: float
     h: float
     K: int
     coeffs: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def nodes(self, x: float) -> np.ndarray:
+        return x - self.offsets * self.h
 
 
+@lru_cache(maxsize=_STENCIL_CACHE_SIZE)
 def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
+    """The stencil for (gamma, h, K), built on first use and then shared."""
     _check_gamma(gamma)
     if not h > 0.0:
         raise ValueError(f"h must be positive, got {h}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    return RieszStencil(gamma=gamma, h=h, K=int(K), coeffs=_half_coeffs(gamma, int(K)))
+    K = int(K)
+    coeffs = _half_coeffs(gamma, K)
+    offsets = np.empty(2 * K + 1, dtype=int)
+    offsets[0] = 0
+    offsets[1::2] = -np.arange(1, K + 1)
+    offsets[2::2] = np.arange(1, K + 1)
+    return RieszStencil(gamma=float(gamma), h=float(h), K=K,
+                        coeffs=_read_only(coeffs), offsets=_read_only(offsets),
+                        weights=_read_only(coeffs[np.abs(offsets)]))
+
+
+def ascending_sum(terms: np.ndarray) -> float:
+    """Sum in ascending magnitude, accumulated left to right from 0.0.
+
+    Ties keep their input order, so the centre-outward layout cancels
+    symmetric +-k pairs exactly; cumsum accumulates sequentially, so the
+    result equals a Python loop bit for bit, sign of zero included.
+    """
+    terms = np.asarray(terms, dtype=float)
+    order = np.argsort(np.abs(terms), kind="stable")
+    return float(np.cumsum(np.concatenate(([0.0], terms[order])))[-1])
 
 
 def truncated_centered_difference(stencil: RieszStencil, f, x: float) -> float:
     """Evaluate D_{h,K}^gamma f at x.
 
-    f is called at the 2K+1 nodes x - k*h; any non-finite value raises
-    NodeEvaluationError naming the node. The symmetric half-stencil is
-    applied as g_0*f(x) + sum_k g_k*(f(x-kh) + f(x+kh)).
+    f is called at the 2K+1 nodes; any non-finite value raises
+    NodeEvaluationError naming the node. The weighted values are summed
+    with ascending_sum.
     """
-    g = stencil.coeffs
-    h = stencil.h
-    acc = 0.0
-    fx = float(f(x))
-    if not np.isfinite(fx):
-        raise NodeEvaluationError(x, fx)
-    acc = g[0] * fx
-    for k in range(1, stencil.K + 1):
-        lo, hi = x - k * h, x + k * h
-        flo, fhi = float(f(lo)), float(f(hi))
-        if not np.isfinite(flo):
-            raise NodeEvaluationError(lo, flo)
-        if not np.isfinite(fhi):
-            raise NodeEvaluationError(hi, fhi)
-        acc += g[k] * (flo + fhi)
-    return acc / h**stencil.gamma
+    nodes = stencil.nodes(x)
+    values = np.array([float(f(v)) for v in nodes])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NodeEvaluationError(float(nodes[bad[0]]), float(values[bad[0]]))
+    return ascending_sum(stencil.weights * values) / stencil.h**stencil.gamma
 
 
 def c_alpha(alpha: float) -> float:

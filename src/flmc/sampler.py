@@ -26,7 +26,6 @@ __all__ = [
     "SamplerConfig",
     "Trace",
     "ChainFailure",
-    "step",
     "run_chain",
     "run_repeats",
     "RepeatSummary",
@@ -161,30 +160,6 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
         target, x, draw_minibatch(target.data_size, n_omega, batch_rng))
 
 
-def step(state, n: int, config: SamplerConfig, target: Target,
-         rng: np.random.Generator):
-    """One update producing the state of iteration n (uses eta_n).
-
-    Draws the minibatch (when configured) and then the noise from the
-    single rng; run_chain instead uses separate substreams and a
-    preallocated noise block, so compose steps with care when comparing.
-    """
-    _check_minibatch(config, target)
-    drift = _drift_fn(config, target, rng)
-    eta = schedule_eta(config.schedule, n)
-    scalar = np.isscalar(state) or (hasattr(state, "ndim") and state.ndim == 0)
-    x = float(state) if scalar and target.dim == 1 else np.asarray(state, float)
-    b = drift(x, n)
-    noise = sample_sas_vector(StableNoise(config.alpha, 1.0), target.dim, rng)
-    if target.dim == 1 and scalar:
-        out = x + eta * float(b) + eta ** (1.0 / config.alpha) * float(noise[0])
-        _guard(out, n, config.seed)
-        return out
-    out = x + eta * np.asarray(b, float) + eta ** (1.0 / config.alpha) * noise
-    _guard(out, n, config.seed)
-    return out
-
-
 def _guard(state, n, seed):
     arr = np.asarray(state)
     if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > _DIVERGENCE_BOUND):
@@ -245,9 +220,9 @@ def run_chain(config: SamplerConfig, target: Target,
                 rec_x.append(x if scalar else x.copy())
                 if snapshot_estimates:
                     snapshots.append((n, {k: v / H for k, v in acc.items()}))
-    except ChainFailure:
-        raise
-    except Exception as e:
+    except ArithmeticError as e:
+        # numerical failure (drift overflow, float overflow, division by
+        # zero) is a chain outcome; anything else is a programming error
         raise ChainFailure(config.seed, n, x, e) from e
 
     states = np.asarray(rec_x, dtype=float).reshape(len(rec_n), D)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StableNoise", "sample_sas", "sample_sas_vector"]
+__all__ = ["StableNoise", "sample_sas_vector"]
 
 # V draws this close to +-pi/2 would underflow cos(V); redrawing keeps the
 # stream deterministic and changes the law by a ~1e-10 probability event.
@@ -63,19 +63,10 @@ def _draw_vw(rng: np.random.Generator, size: int):
     return V, W
 
 
-def sample_sas(noise: StableNoise, rng: np.random.Generator) -> float:
-    """One SaS(sigma) draw from a seeded generator."""
-    V, W = _draw_vw(rng, 1)
-    return float(_transform(noise, V, W)[0])
-
-
 def sample_sas_vector(
     noise: StableNoise, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """A vector of `dim` independent SaS(sigma) draws.
-
-    For dim=1 this consumes the stream identically to sample_sas.
-    """
+    """A vector of `dim` independent SaS(sigma) draws from a seeded generator."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     V, W = _draw_vw(rng, dim)

@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flmc.cli import (SCHEDULE_GRID, UsageError, alpha_sweep_report,
-                      bias_sweep_report, build_target, drift_label,
-                      initial_states, kappa_report, main, mf_report,
-                      mf_rmse_curve, parse_alpha_list, parse_drift,
-                      parse_float_list, parse_int_list, parse_schedule,
+from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
+                      build_target, drift_label, initial_states,
+                      kappa_report, main, mf_report,
+                      mf_rmse_curve, parse_drift, parse_list, parse_schedule,
                       resolve_truth, schedule_label, write_json, write_report,
                       ExperimentReport)
 from flmc.drift import FullCentered, Simplified
@@ -52,13 +51,13 @@ def test_drift_grammar():
 
 
 def test_list_parsing():
-    assert parse_alpha_list("1.5,1.9") == (1.5, 1.9)
-    assert parse_float_list("0.01,0.1", "h") == (0.01, 0.1)
-    assert parse_int_list("1,2,30", "K") == (1, 2, 30)
-    for fn in (lambda: parse_alpha_list("a"), lambda: parse_float_list("", "h"),
-               lambda: parse_int_list("1.5", "K")):
-        with pytest.raises(UsageError):
-            fn()
+    assert parse_list("1.5,1.9", "alpha") == (1.5, 1.9)
+    assert parse_list("0.01,0.1", "h") == (0.01, 0.1)
+    assert parse_list("1,2,30", "K", int) == (1, 2, 30)
+    for text, flag, kind in (("a", "alpha", float), ("", "h", float),
+                             ("1.5", "K", int)):
+        with pytest.raises(UsageError, match=f"bad {flag} list '{text}'"):
+            parse_list(text, flag, kind)
 
 
 def test_build_target():
@@ -133,7 +132,8 @@ def test_alpha_sweep_single_cell_matches_run_repeats(m_star):
                           initial_states=[0.0, 0.0, 0.0])
     assert rep.rows == [(1.8, schedule_label(sched), summary.mean_abs_bias,
                          summary.se, 0)]
-    assert rep.metadata["schedule_grid"] == [schedule_label(s) for s in SCHEDULE_GRID]
+    # the metadata names the grid that was searched, not the default one
+    assert rep.metadata["schedule_grid"] == [schedule_label(sched)]
 
 
 def test_bias_sweep_single_cell_single_row(m_star):

@@ -11,12 +11,19 @@ from hypothesis import strategies as st
 
 from flmc.drift import (DriftOverflowError, FullCentered, Reference,
                         Simplified, UndefinedDiagnosticError, full_drift,
-                        full_drift_multi, kappa, r_diagnostic,
-                        simplified_drift)
+                        full_drift_multi, kappa, r_diagnostic)
 from flmc.riesz import c_alpha, coeff
+from flmc.sampler import Constant, SamplerConfig, _drift_fn
 from flmc.targets import Target, double_well_target, gaussian_target
 
 DW = double_well_target()
+
+
+def simplified_drift(target, x, alpha):
+    """The simplified drift as the sampler applies it."""
+    cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(),
+                        schedule=Constant(0.01), iterations=1, seed=0)
+    return _drift_fn(cfg, target, None)(x, 1)
 
 
 def _mp_direct_drift(x, alpha, h, K):
@@ -151,6 +158,27 @@ def test_overflow_raises_with_location():
     assert exc.value.axis is None
 
 
+# full_drift(DW, x, FullCentered(0.06, K), 1.5), recorded before the drift
+# moved onto the shared riesz stencil; the values must not move by one bit
+PINNED_DRIFT = {
+    1: ("-0x1.29870a160ec9fp+1", "-0x1.be8a0f923a835p+0",
+        "0x1.396fba56cf09ep+0", "0x1.c9ebe38db872fp+1"),
+    15: ("-0x1.21b1d95d2851ap+2", "-0x1.14cc562af3052p+6",
+         "0x1.023fc6e9ec3c2p+5", "0x1.12d1a96577a0cp+7"),
+    30: ("-0x1.bf6aa58619d51p+1", "-0x1.9db8decbf7586p+14",
+         "0x1.4fcb1a2831740p+13", "0x1.5a1bc6e79d6f8p+7"),
+    170: ("-0x1.ba6c3f04122bdp+1", "-0x1.dcdcb5282df96p+16",
+          "0x1.28453b71aa212p+16", "0x1.46d3e7879504dp+6"),
+}
+
+
+@pytest.mark.parametrize("K", sorted(PINNED_DRIFT))
+def test_full_drift_pinned_bits(K):
+    xs = (-3.0, -0.7, 0.5, 2.2)
+    got = tuple(full_drift(DW, x, FullCentered(0.06, K), 1.5).hex() for x in xs)
+    assert got == PINNED_DRIFT[K]
+
+
 # ---------------------------------------------------------------------------
 # per-axis drift
 # ---------------------------------------------------------------------------
@@ -221,6 +249,14 @@ def test_diagnostic_against_direct_formula():
     assert r_diagnostic(DW, x, alpha, h, K) == pytest.approx(ref, rel=1e-8)
 
 
+def test_diagnostic_where_drift_overflows():
+    # the drift's exponent passes exp's range at x=40; the diagnostic
+    # still evaluates, through exp(ell*/gamma) with gamma < 0
+    with pytest.raises(DriftOverflowError):
+        full_drift(DW, 40.0, FullCentered(0.06, 170), 1.7)
+    assert r_diagnostic(DW, 40.0, 1.7, 0.06, 170) == 0.0
+
+
 def test_diagnostic_undefined_at_stationary_point():
     t = gaussian_target(0.0, 1.0)
     with pytest.raises(UndefinedDiagnosticError):
@@ -262,6 +298,15 @@ def test_kappa_is_deterministic():
     r2 = kappa(DW, 1.8, 0.06, 100, grid)
     assert r1.kappa_hat == r2.kappa_hat
     assert np.array_equal(r1.per_point, r2.per_point)
+
+
+def test_kappa_pinned_per_point():
+    # recorded before kappa moved onto the shared riesz stencil
+    res = kappa(DW, 1.7, 0.06, 170, np.linspace(-4.5, 4.5, 20))
+    assert [v.hex() for v in res.per_point.tolist()] == [
+        float(v).hex() for v in (3, 7, 4, 8, 11, 4, 4, 4, 5, 5,
+                                 5, 5, 4, 4, 4, 11, 8, 4, 7, 3)]
+    assert res.kappa_hat.hex() == "0x1.6000000000000p+2"
 
 
 def test_kappa_skips_overflow_points():

@@ -6,11 +6,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flmc.riesz import (NodeEvaluationError, RieszStencil, build_stencil,
-                        c_alpha, coeff, truncated_centered_difference)
+from flmc.riesz import (NodeEvaluationError, RieszStencil, ascending_sum,
+                        build_stencil, c_alpha, coeff,
+                        truncated_centered_difference)
 
 
 def _direct_coeff(gamma, k):
@@ -91,6 +92,47 @@ def test_coefficient_decay_rate():
     ks = np.array([100, 300, 1000, 3000, 10000])
     slope = np.polyfit(np.log(ks), np.log(np.abs(s.coeffs[ks])), 1)[0]
     assert slope == pytest.approx(-(gamma + 1.0), abs=0.1)
+
+
+def test_build_stencil_shares_one_read_only_instance():
+    s = build_stencil(-0.3, 0.06, 30)
+    assert build_stencil(-0.3, 0.06, 30) is s
+    assert isinstance(s, RieszStencil)
+    assert s.offsets[:5].tolist() == [0, -1, 1, -2, 2]
+    assert sorted(s.offsets.tolist()) == list(range(-30, 31))
+    assert np.array_equal(s.weights, s.coeffs[np.abs(s.offsets)])
+    for arr in (s.coeffs, s.offsets, s.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+def _loop_ascending_sum(terms):
+    # reference: Python left-to-right accumulation in ascending magnitude,
+    # ties in input order
+    order = np.argsort(np.abs(terms), kind="stable")
+    total = 0.0
+    for v in terms[order]:
+        total += float(v)
+    return total
+
+
+_term = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose=st.lists(st.one_of(st.sampled_from([0.0, -0.0]), _term), max_size=30),
+       paired=st.lists(_term, max_size=15), data=st.data())
+@example(loose=[-0.0, -0.0], paired=[], data=None)
+@example(loose=[], paired=[], data=None)
+@example(loose=[-0.0], paired=[1.5, -2.0], data=None)
+def test_ascending_sum_matches_sequential_loop(loose, paired, data):
+    # +-v pairs tie in magnitude and must cancel exactly, as in the
+    # centre-outward stencil; signed zeros must keep the loop's sign
+    terms = loose + [v for p in paired for v in (p, -p)]
+    if data is not None:
+        terms = data.draw(st.permutations(terms))
+    arr = np.array(terms, dtype=float)
+    assert ascending_sum(arr).hex() == _loop_ascending_sum(arr).hex()
 
 
 def test_identity_operator_evaluation():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from flmc.drift import FullCentered, Simplified
+from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, repeat_seeds, run_chain, run_repeats,
-                          schedule_eta, step)
+                          schedule_eta)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (Target, double_well_target, gaussian_target,
                           synthetic_mf_target)
@@ -63,43 +63,18 @@ def test_constant_schedule_flat():
 # single step
 # ---------------------------------------------------------------------------
 
-def test_step_is_deterministic():
-    cfg = _cfg(alpha=1.7)
-    outs = []
-    for _ in range(2):
-        rng = np.random.default_rng(3)
-        x = 0.0
-        for n in (1, 2, 3):
-            x = step(x, n, cfg, DW, rng)
-        outs.append(x)
-    assert outs[0] == outs[1]
-
-
 def test_step_uses_indexed_step_size():
-    # zero drift isolates the noise term: out = eta_n^(1/alpha) * L
-    cfg = _cfg(alpha=1.5, schedule=Polynomial(1e-3, 0.7))
-    rng = np.random.default_rng(11)
-    out = step(0.0, 3, cfg, FLAT, rng)
-    L = sample_sas_vector(StableNoise(1.5, 1.0), 1, np.random.default_rng(11))[0]
-    eta = schedule_eta(cfg.schedule, 3)
-    assert out == eta ** (1.0 / 1.5) * float(L)
-
-
-def test_step_vector_state():
-    t = gaussian_target(np.zeros(2), 1.0)
-    cfg = _cfg(alpha=2.0, schedule=Constant(0.01))
-    out = step(np.array([1.0, -1.0]), 1, cfg, t, np.random.default_rng(0))
-    assert out.shape == (2,)
-    assert np.all(np.isfinite(out))
-
-
-def test_step_divergence_aborts():
-    cfg = _cfg(alpha=2.0, seed=9, schedule=Constant(0.01))
-    with pytest.raises(ChainFailure) as exc:
-        step(2e12, 5, cfg, FLAT, np.random.default_rng(1))
-    assert exc.value.n == 5
-    assert exc.value.seed == 9
-    assert exc.value.cause == "divergence"
+    # zero drift isolates the noise term: x_n - x_{n-1} = eta_n^(1/alpha) * L_n
+    # with L_n the n-th draw of the chain's noise substream
+    N = 5
+    cfg = _cfg(alpha=1.5, schedule=Polynomial(1e-3, 0.7), iterations=N, seed=11)
+    trace = run_chain(cfg, FLAT)
+    noise_ss, _ = np.random.SeedSequence(11).spawn(2)
+    L = sample_sas_vector(StableNoise(1.5, 1.0), N, np.random.default_rng(noise_ss))
+    x = 0.0
+    for n in range(1, N + 1):
+        x = x + schedule_eta(cfg.schedule, n) ** (1.0 / 1.5) * float(L[n - 1])
+        assert trace.states[n - 1, 0] == x
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +302,26 @@ def test_failed_repeats_excluded_with_count():
     assert summary.failures[0][0] == 1
     assert isinstance(summary.failures[0][1], ChainFailure)
     assert np.isfinite(summary.mean_abs_bias)
+
+
+def test_programming_error_propagates_from_repeats():
+    # only numerical failure counts as a failed repeat; a broken test
+    # function must raise instead of becoming n_failed=3 and a NaN bias
+    def broken(x):
+        return x.no_such_attribute
+
+    with pytest.raises(AttributeError):
+        run_repeats(_cfg(iterations=20), DW, broken, repeats=3, truth=0.0)
+
+
+def test_drift_overflow_becomes_chain_failure():
+    cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 170),
+                        schedule=Constant(0.01), iterations=5, seed=2,
+                        initial_state=40.0)
+    with pytest.raises(ChainFailure) as exc:
+        run_chain(cfg, DW)
+    assert exc.value.n == 1
+    assert isinstance(exc.value.cause, DriftOverflowError)
 
 
 def test_all_failed_gives_nan_summary():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from flmc.stable import StableNoise, sample_sas, sample_sas_vector
+from flmc.stable import StableNoise, sample_sas_vector
 
 
 def test_parameter_validation():
@@ -30,14 +30,6 @@ def test_vector_shape_and_validation():
     assert out.shape == (7,)
     with pytest.raises(ValueError):
         sample_sas_vector(StableNoise(1.5), 0, rng)
-
-
-def test_scalar_matches_vector_stream():
-    # a dim-1 vector draw consumes the stream exactly like the scalar draw
-    noise = StableNoise(1.7, 2.0)
-    a = sample_sas(noise, np.random.default_rng(42))
-    b = sample_sas_vector(noise, 1, np.random.default_rng(42))[0]
-    assert a == b
 
 
 def test_determinism():
