@@ -388,12 +388,14 @@ def cmd_sample(args) -> int:
     trace = run_chain(cfg, target, {"x": lambda x: x} if target.dim == 1 else {})
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
+    # '%.17g' % v and format(v, '.17g') use the same float formatter, so
+    # the rows match _fmt's; a generator keeps all rows from being held
+    row = "%d" + ",%.17g" * (1 + target.dim) + "\n"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(len(trace.iterations)):
-            cells = [str(int(trace.iterations[i])), _fmt(float(trace.etas[i]))]
-            cells += [_fmt(v) for v in trace.states[i]]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(row % cells for cells in zip(
+            trace.iterations.tolist(), trace.etas.tolist(),
+            *trace.states.T.tolist()))
     summary = {
         "config": {
             "target": args.target, "alpha": args.alpha,

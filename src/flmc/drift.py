@@ -174,8 +174,10 @@ def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> 
 
     |sum_k (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma) with
     f = -exp(-U) U', i.e. the full-drift stencil sum S over g_0 U'(x):
-    r = exp(ell* / gamma) * |S / (g_0 U'(x))| ** (1 / gamma), which keeps
-    the exponentials in range. Undefined at stationary points of U.
+    r = exp((ell* + log|S / (g_0 U'(x))|) / gamma), evaluated in log space
+    because either factor alone can pass the float range when gamma is
+    near 0. An r below the float range is 0.0, one above it is inf.
+    Undefined at stationary points of U.
     """
     gamma = _check_alpha(alpha)
     if gamma == 0.0:
@@ -190,7 +192,11 @@ def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> 
     if s == 0.0:
         return math.inf
     g_0 = float(stencil.coeffs[0])
-    return math.exp(ell_star / gamma) * abs(s / (g_0 * du_x)) ** (1.0 / gamma)
+    log_ratio = math.log(abs(s)) - math.log(abs(g_0)) - math.log(abs(du_x))
+    try:
+        return math.exp((ell_star + log_ratio) / gamma)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

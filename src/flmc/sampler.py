@@ -177,6 +177,10 @@ def run_chain(config: SamplerConfig, target: Target,
     record stride only thins the stored trajectory.
     """
     _check_minibatch(config, target)
+    if target.dim == 1 and np.size(config.initial_state) != 1:
+        raise ValueError(
+            f"1-D target needs a scalar initial state, got "
+            f"{np.size(config.initial_state)} values")
     if isinstance(test_functions, Mapping):
         gs = dict(test_functions)
     elif test_functions is None:

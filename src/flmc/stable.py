@@ -48,9 +48,21 @@ def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
     2*sigma*sin(V)*sqrt(W), i.e. N(0, 2*sigma^2).
     """
     a = noise.alpha
-    x = np.sin(a * V) / np.cos(V) ** (1.0 / a)
-    x = x * (np.cos((1.0 - a) * V) / W) ** ((1.0 - a) / a)
-    return noise.sigma * x
+    # in place on two buffers, so a large block needs no further temporaries;
+    # **= takes the same scalar-power path as ** (sqrt at alpha=2), so the
+    # draws are unchanged bit for bit
+    x = np.multiply(a, V)
+    np.sin(x, out=x)
+    t = np.cos(V)
+    t **= 1.0 / a
+    x /= t
+    np.multiply(1.0 - a, V, out=t)
+    np.cos(t, out=t)
+    t /= W
+    t **= (1.0 - a) / a
+    x *= t
+    x *= noise.sigma
+    return x
 
 
 def _draw_vw(rng: np.random.Generator, size: int):

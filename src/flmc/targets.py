@@ -164,16 +164,22 @@ def _mf_target_from_data(I, J, L, Y, train_idx, test_idx, gen_x=None) -> Target:
         return x.copy()
 
     def loglik_batch(x, indices):
-        # sum over selected observations of d/dx [0.5*(Y_e - (AB)_e)^2];
-        # np.add.at accumulates repeated entries (with-replacement batches).
+        # sum over selected observations of d/dx [0.5*(Y_e - (AB)_e)^2].
+        # bincount adds each weight into its bin in order of appearance,
+        # starting from 0.0, so repeated entries (with-replacement batches)
+        # accumulate exactly as a sequential scatter would; one call per
+        # latent column.
         A, B = split(x)
         ii, jj = ti[indices], tj[indices]
-        resid = y_train[indices] - np.einsum("ij,ji->i", A[ii, :], B[:, jj])
-        gA = np.zeros_like(A)
-        gB = np.zeros_like(B)
-        np.add.at(gA, ii, -resid[:, None] * B[:, jj].T)
-        np.add.at(gB.T, jj, -resid[:, None] * A[ii, :])
-        return np.concatenate([gA.ravel(), gB.ravel()])
+        Ag, Bg = A[ii, :], B[:, jj]
+        neg_resid = -(y_train[indices] - np.einsum("ij,ji->i", Ag, Bg))
+        out = np.empty(dim)
+        gA = out[: I * L].reshape(I, L)
+        gB = out[I * L :].reshape(L, J)
+        for l in range(L):
+            gA[:, l] = np.bincount(ii, weights=neg_resid * Bg[l], minlength=I)
+            gB[l] = np.bincount(jj, weights=neg_resid * Ag[:, l], minlength=J)
+        return out
 
     def dU(x):
         # same code path as the full-enumeration minibatch, so the

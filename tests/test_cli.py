@@ -264,6 +264,24 @@ def test_sample_reruns_byte_identical(tmp_path):
     assert (tmp_path / "trace.csv.summary.json").read_bytes() == first_sum
 
 
+def test_sample_csv_matches_per_cell_formatting(tmp_path):
+    # the one-template row writer must write the bytes of the per-cell
+    # loop: rebuild the rows from the same chain, format(v, '.17g') per cell
+    argv = _sample_args(tmp_path, **{"--n": "3000", "--stride": "1",
+                                     "--schedule": "poly:1e-3,0.7"})
+    assert main(argv) == 0
+    cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                        schedule=Polynomial(1e-3, 0.7), iterations=3000,
+                        seed=42, initial_state=0.0)
+    trace = run_chain(cfg, double_well_target(), {"x": lambda x: x})
+    lines = ["n,eta,x_0\n"]
+    for i in range(len(trace.iterations)):
+        cells = [str(int(trace.iterations[i])), format(float(trace.etas[i]), ".17g")]
+        cells += [format(float(v), ".17g") for v in trace.states[i]]
+        lines.append(",".join(cells) + "\n")
+    assert (tmp_path / "trace.csv").read_bytes() == "".join(lines).encode()
+
+
 def test_bias_k_single_cell_cli(tmp_path):
     out = tmp_path / "bk.csv"
     code = main(["bias-k", "--alpha", "1.7", "--k-list", "5", "--n", "200",

@@ -234,10 +234,9 @@ def test_diagnostic_unit_bracket():
     assert r_diagnostic(t, 0.0, 1.7, 0.1, 5) == 1.0
 
 
-def test_diagnostic_against_direct_formula():
-    alpha, h, K = 1.7, 0.06, 170
+def _direct_r(x, alpha, h, K):
+    """|sum_k (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma), term by term."""
     gamma = alpha - 2.0
-    x = 2.0
     ks = np.concatenate([-np.arange(1, K + 1), np.arange(1, K + 1)])
     nodes = x - ks * h
     g0 = coeff(gamma, 0)
@@ -245,8 +244,25 @@ def test_diagnostic_against_direct_formula():
     bracket = 1.0 + float(np.sum(
         (g / g0) * np.exp(DW.potential(x) - DW.potential(nodes))
         * DW.gradient(nodes) / DW.gradient(x)))
-    ref = abs(bracket) ** (1.0 / gamma)
+    return abs(bracket) ** (1.0 / gamma)
+
+
+def test_diagnostic_against_direct_formula():
+    alpha, h, K = 1.7, 0.06, 170
+    x = 2.0
+    ref = _direct_r(x, alpha, h, K)
     assert r_diagnostic(DW, x, alpha, h, K) == pytest.approx(ref, rel=1e-8)
+
+
+def test_diagnostic_near_gaussian_order():
+    # at alpha 1.99 the exponent 1/gamma is -100: exp(ell*/gamma) and the
+    # scaled stencil sum to that power pass the float range on their own,
+    # while r itself is in range (x=2) or underflows to 0 (x=40)
+    ref = _direct_r(2.0, 1.99, 0.06, 170)
+    assert 0.0 < ref < 1.0
+    assert r_diagnostic(DW, 2.0, 1.99, 0.06, 170) == pytest.approx(ref, rel=1e-8)
+    assert r_diagnostic(DW, -0.5, 1.99, 0.06, 170) > 0.0
+    assert r_diagnostic(DW, 40.0, 1.99, 0.06, 170) == 0.0
 
 
 def test_diagnostic_where_drift_overflows():

@@ -101,6 +101,15 @@ def test_minibatch_needs_data_terms():
         run_chain(_cfg(minibatch_size=4), DW)
 
 
+def test_scalar_target_rejects_vector_initial_state():
+    with pytest.raises(ValueError, match="scalar initial state"):
+        run_chain(_cfg(initial_state=[1.0, 2.0, 3.0]), DW)
+    # a one-element vector is still a scalar start
+    a = run_chain(_cfg(initial_state=[1.0]), DW)
+    b = run_chain(_cfg(initial_state=1.0), DW)
+    assert np.array_equal(a.states, b.states)
+
+
 # ---------------------------------------------------------------------------
 # run_chain
 # ---------------------------------------------------------------------------

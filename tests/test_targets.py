@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flmc.targets import (Minibatch, double_well, double_well_grad,
@@ -142,6 +142,40 @@ def test_full_enumeration_batch_is_bitwise_full_gradient(mf):
     batch = Minibatch(indices=np.arange(mf.data_size), size=mf.data_size)
     est = sg_gradient(mf, x, batch)
     assert np.array_equal(est, mf.gradient(x))
+
+
+def _add_at_loglik_batch(target, x, indices):
+    """The MF likelihood gradient scattered with np.add.at, one entry at a
+    time in batch order: the reference the bincount scatter must equal."""
+    I, J, L = target.info["I"], target.info["J"], target.info["L"]
+    ti, tj = target.info["train_idx"][:, 0], target.info["train_idx"][:, 1]
+    y_train = target.info["Y"][ti, tj]
+    A = x[: I * L].reshape(I, L)
+    B = x[I * L :].reshape(L, J)
+    ii, jj = ti[indices], tj[indices]
+    resid = y_train[indices] - np.einsum("ij,ji->i", A[ii, :], B[:, jj])
+    gA = np.zeros_like(A)
+    gB = np.zeros_like(B)
+    np.add.at(gA, ii, -resid[:, None] * B[:, jj].T)
+    np.add.at(gB.T, jj, -resid[:, None] * A[ii, :])
+    return np.concatenate([gA.ravel(), gB.ravel()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(I=st.integers(1, 6), J=st.integers(1, 6), L=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 2.0),
+       full=st.booleans(), n_omega=st.integers(1, 60))
+def test_loglik_batch_equals_sequential_scatter(I, J, L, seed, log_scale,
+                                                full, n_omega):
+    t = synthetic_mf_target(I, J, L, seed=seed % 1000)
+    assume(t.data_size > 0)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(t.dim) * 10.0 ** log_scale
+    # with-replacement draws repeat entries whenever n_omega > data_size
+    idx = (np.arange(t.data_size) if full
+           else draw_minibatch(t.data_size, n_omega, rng).indices)
+    got = t.loglik_batch(x, idx)
+    assert got.tobytes() == _add_at_loglik_batch(t, x, idx).tobytes()
 
 
 def test_sg_gradient_unbiased(mf):
