@@ -8,10 +8,10 @@ independent numerical references (oracle), and the experiment CLI (cli).
 
 __version__ = "0.1.0"
 
-from .drift import FullCentered, Reference, Simplified, full_drift, kappa
+from .drift import FullCentered, Simplified, full_drift, kappa
 from .riesz import build_stencil, c_alpha, coeff, truncated_centered_difference
 from .sampler import (Constant, Polynomial, SamplerConfig, Trace, run_chain,
-                      run_repeats)
+                      run_ensemble, run_repeats)
 from .stable import StableNoise, sample_sas_vector
 from .targets import (Minibatch, Target, double_well_target, gaussian_target,
                       sg_gradient, synthetic_mf_target)
@@ -22,7 +22,7 @@ __all__ = [
     "build_stencil", "c_alpha", "coeff", "truncated_centered_difference",
     "Target", "Minibatch", "double_well_target", "gaussian_target",
     "synthetic_mf_target", "sg_gradient",
-    "Simplified", "FullCentered", "Reference", "full_drift", "kappa",
+    "Simplified", "FullCentered", "full_drift", "kappa",
     "SamplerConfig", "Polynomial", "Constant", "Trace",
-    "run_chain", "run_repeats",
+    "run_chain", "run_repeats", "run_ensemble",
 ]

@@ -17,15 +17,18 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .drift import DriftOverflowError, FullCentered, Simplified, kappa
-from .oracle import QuadratureError, QuadratureSpec, quadrature_expectation
+from .oracle import (QuadratureError, QuadratureSpec, SupportError,
+                     quadrature_expectation)
+from .riesz import NodeEvaluationError
 from .sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
-                      run_chain, run_repeats)
+                      repeat_seeds, run_chain, run_ensemble, run_repeats,
+                      summarize_repeats)
 from .targets import (double_well_stationary_points, double_well_target,
                       gaussian_target, synthetic_mf_target)
 
@@ -228,17 +231,35 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
 
     Cells share the base seed, so cells differing only in (h, K) see the
     same noise streams; failed repeats are excluded and counted per cell.
+    Each (alpha, K) with alpha < 2 runs every h and repeat as one
+    run_ensemble call; alpha = 2 cells run on run_repeats.
     """
     inits = initial_states(init_policy, repeats)
+    seeds = repeat_seeds(seed, repeats)
+    hs = sorted(set(h_values))
+    cells = {}
+    for alpha in sorted(set(alphas)):
+        for K in sorted(set(K_values)):
+            cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
+                                  schedule=schedule, iterations=n_steps,
+                                  seed=seed) for h in hs]
+            if alpha == 2.0:  # drift -U'(x) on a Python float: one by one
+                cells.update({(alpha, h, K): run_repeats(
+                    cfg, target, lambda x: x, repeats, truth,
+                    initial_states=inits) for h, cfg in zip(hs, cfgs)})
+                continue
+            outcomes = run_ensemble(
+                [replace(cfg, seed=s, initial_state=x0)
+                 for cfg in cfgs for s, x0 in zip(seeds, inits)],
+                target, lambda x: x)
+            cells.update({(alpha, h, K): summarize_repeats(
+                outcomes[j * repeats:(j + 1) * repeats], truth)
+                for j, h in enumerate(hs)})
     rows = []
     for alpha in sorted(alphas):
         for h in sorted(h_values):
             for K in sorted(K_values):
-                cfg = SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
-                                    schedule=schedule, iterations=n_steps,
-                                    seed=seed)
-                summary = run_repeats(cfg, target, lambda x: x, repeats, truth,
-                                      initial_states=inits)
+                summary = cells[alpha, h, K]
                 if summary.n_failed:
                     log.warning("bias cell alpha=%s h=%s K=%s: %d failed repeats",
                                 alpha, h, K, summary.n_failed)
@@ -413,25 +434,17 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_bias_k(args) -> int:
+def cmd_bias(args) -> int:
+    """bias-k sweeps K at one h, bias-h sweeps h at one K."""
     truth = resolve_truth(args.fixtures)
+    by_k = args.cmd == "bias-k"
     report = bias_sweep_report(
         double_well_target(), parse_list(args.alpha, "alpha"),
-        (args.h,), parse_list(args.k_list, "K", int),
+        (args.h,) if by_k else parse_list(args.h_list, "h"),
+        parse_list(args.k_list, "K", int) if by_k else (args.K,),
         parse_schedule(args.schedule), args.n, args.repeats, args.seed,
         args.init, truth)
-    write_report(report, _outpath(args, "bias_k.csv"))
-    return 0
-
-
-def cmd_bias_h(args) -> int:
-    truth = resolve_truth(args.fixtures)
-    report = bias_sweep_report(
-        double_well_target(), parse_list(args.alpha, "alpha"),
-        parse_list(args.h_list, "h"), (args.K,),
-        parse_schedule(args.schedule), args.n, args.repeats, args.seed,
-        args.init, truth)
-    write_report(report, _outpath(args, "bias_h.csv"))
+    write_report(report, _outpath(args, "bias_k.csv" if by_k else "bias_h.csv"))
     return 0
 
 
@@ -489,30 +502,27 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_sample)
 
+    def bias(sp, init):
+        sp.add_argument("--schedule", type=str, default="poly:1e-7,0.6")
+        sp.add_argument("--n", type=int, default=5000)
+        sp.add_argument("--repeats", type=int, default=5)
+        sp.add_argument("--init", type=str, default=init)
+        sp.add_argument("--fixtures", type=str, default=None)
+        common(sp)
+        sp.set_defaults(func=cmd_bias)
+
     sp = sub.add_parser("bias-k", help="bias versus truncation K")
     sp.add_argument("--alpha", type=str, default="1.5,1.6,1.7,1.8,1.9")
     sp.add_argument("--k-list", type=str, default="1,2,5,10,15,20,30")
     sp.add_argument("--h", type=float, default=0.06)
-    sp.add_argument("--schedule", type=str, default="poly:1e-7,0.6")
-    sp.add_argument("--n", type=int, default=5000)
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument("--init", type=str, default="wells")
-    sp.add_argument("--fixtures", type=str, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_bias_k)
+    bias(sp, "wells")
 
     sp = sub.add_parser("bias-h", help="bias versus stencil spacing h")
     sp.add_argument("--alpha", type=str, default="1.5")
     sp.add_argument("--h-list", type=str,
                     default="0.01,0.05,0.07,0.08,0.09,0.095,0.1,0.11,0.15")
     sp.add_argument("--K", type=int, default=15)
-    sp.add_argument("--schedule", type=str, default="poly:1e-7,0.6")
-    sp.add_argument("--n", type=int, default=5000)
-    sp.add_argument("--repeats", type=int, default=5)
-    sp.add_argument("--init", type=str, default="origin")
-    sp.add_argument("--fixtures", type=str, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_bias_h)
+    bias(sp, "origin")
 
     sp = sub.add_parser("kappa", help="matched-truncation table")
     sp.add_argument("--alpha", type=str, default="1.5,1.6,1.7,1.8,1.9")
@@ -560,19 +570,21 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ChainFailure as e:
         diag = {"error": "chain-failure", "seed": e.seed, "step": e.n,
                 "state": _jsonify(np.atleast_1d(e.state)),
                 "cause": str(e.cause)}
         print(json.dumps(diag, sort_keys=True))
         return 1
-    except (DriftOverflowError, QuadratureError, OSError) as e:
+    except (DriftOverflowError, QuadratureError, SupportError,
+            NodeEvaluationError, OSError) as e:
+        # before ValueError: these two subclass it but are not usage errors
         print(json.dumps({"error": type(e).__name__, "detail": str(e)},
                          sort_keys=True))
         return 1
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

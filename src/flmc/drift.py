@@ -4,13 +4,14 @@ Three variants. The full centered drift divides a truncated fractional
 derivative of f(x) = -exp(-U(x)) U'(x) by exp(-U(x)); computed naively the
 exponentials overflow, so everything runs in the factored form with the
 largest exponent pulled out. The simplified drift is -c_alpha * grad U and
-works in any dimension (the sampler applies it inline). The reference drift
-is the full drift at a large truncation K_star, used as the stand-in for the
-untruncated operator.
+works in any dimension (the sampler applies it inline). The full drift is
+one-dimensional; a large truncation K_star stands in for the untruncated
+operator.
 
 The full drift, the r diagnostic and kappa all evaluate through the one
 riesz stencil: build_stencil supplies the nodes and weights, cached per
-(gamma, h, K), and riesz.ascending_sum does the summation.
+(gamma, h, K), and riesz.ascending_sum does the summation, through one
+row-wise evaluator that takes a row per state (kappa's grid, an ensemble).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .riesz import RieszStencil, ascending_sum, build_stencil, c_alpha
+from .riesz import ascending_sum, build_stencil, c_alpha
 from .targets import Target
 
 __all__ = [
@@ -29,9 +30,8 @@ __all__ = [
     "UndefinedDiagnosticError",
     "Simplified",
     "FullCentered",
-    "Reference",
     "full_drift",
-    "full_drift_multi",
+    "full_drift_rows",
     "r_diagnostic",
     "kappa",
     "KappaResult",
@@ -41,18 +41,17 @@ log = logging.getLogger(__name__)
 
 # exp() overflows just above this exponent
 _EXP_MAX = 709.0
+# grid points kappa evaluates per block, which bounds its temporaries
+_KAPPA_ROWS = 16
 
 
 class DriftOverflowError(ArithmeticError):
     """The factored exponent exceeds the representable range at x."""
 
-    def __init__(self, x, ell_star, axis=None):
+    def __init__(self, x, ell_star):
         self.x = x
         self.ell_star = ell_star
-        self.axis = axis
-        where = f", axis {axis}" if axis is not None else ""
-        super().__init__(
-            f"drift overflow at x={x!r}{where}: exponent {ell_star!r}")
+        super().__init__(f"drift overflow at x={x!r}: exponent {ell_star!r}")
 
 
 class UndefinedDiagnosticError(ValueError):
@@ -76,59 +75,45 @@ class FullCentered:
             raise ValueError(f"K must be a positive integer, got {self.K}")
 
 
-@dataclass(frozen=True)
-class Reference:
-    """Full centered drift at the reference truncation K_star."""
-
-    h: float
-    K_star: int
-
-    def as_full(self) -> FullCentered:
-        return FullCentered(self.h, self.K_star)
-
-
 def _check_alpha(alpha: float) -> float:
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must lie in (1, 2], got {alpha}")
     return alpha - 2.0
 
 
-def _eval_nodes(fn, nodes: np.ndarray) -> np.ndarray:
-    # vectorized call when the target supports it, per-node otherwise
-    try:
-        out = np.asarray(fn(nodes), dtype=float)
-        if out.shape == nodes.shape:
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(v)) for v in nodes])
+def _scaled_terms(target: Target, x: np.ndarray, steps: np.ndarray,
+                  weights: np.ndarray):
+    """Signed stencil terms of each state x[r], its max exponent factored out.
 
-
-def _scaled_terms(stencil: RieszStencil, u_of, du_of, x: float):
-    """Signed stencil terms with the max exponent factored out.
-
-    Returns (ell_star, terms) in the stencil's node order; the true drift is
-    exp(ell_star) / h**gamma times the term sum. Callers decide what an
-    ell_star above _EXP_MAX means.
+    steps (offsets times h) and weights are one (2K+1,) stencil shared by
+    every row or an (R, 2K+1) table with a row per state. Returns ell_star
+    (R,) and terms (R, 2K+1) in the stencil's node order; row r's drift is
+    exp(ell_star[r]) / h_r**gamma times its term sum. Callers decide what
+    an ell_star above _EXP_MAX means.
     """
-    nodes = stencil.nodes(x)
-    ells = float(u_of(x)) - _eval_nodes(u_of, nodes)
-    grads = _eval_nodes(du_of, nodes)
-    ell_star = float(np.max(ells))
-    terms = stencil.weights * (-grads) * np.exp(ells - ell_star)
+    nodes = x[:, None] - steps
+    u = np.asarray(target.potential(nodes), dtype=float)
+    grads = np.asarray(target.gradient(nodes), dtype=float)
+    if u.shape != nodes.shape or grads.shape != nodes.shape:
+        raise TypeError("the full drift needs a vectorised potential and "
+                        "gradient, mapping node arrays to same-shape arrays")
+    ells = u[:, :1] - u  # node 0 is the state itself
+    ell_star = np.max(ells, axis=1)
+    terms = weights * (-grads) * np.exp(ells - ell_star[:, None])
     return ell_star, terms
 
 
-def _drift_value(stencil: RieszStencil, u_of, du_of, x: float,
-                 where, axis=None) -> float:
-    """The full drift at x; an overflow raises naming `where` and `axis`."""
-    ell_star, terms = _scaled_terms(stencil, u_of, du_of, x)
-    if ell_star > _EXP_MAX:
-        raise DriftOverflowError(where, ell_star, axis)
-    out = math.exp(ell_star) / stencil.h**stencil.gamma * ascending_sum(terms)
-    if not math.isfinite(out):
-        raise DriftOverflowError(where, ell_star, axis)
-    return out
+def full_drift_rows(target: Target, x: np.ndarray, steps: np.ndarray,
+                    weights: np.ndarray, h_gamma: np.ndarray):
+    """The full drift at each state x[r] (h_gamma[r] = h_r**gamma), and ell*.
+
+    A row comes back non-finite where the drift overflows. exp(ell*) is
+    math.exp's Python float per row, so a row equals full_drift bit for bit.
+    """
+    ell_star, terms = _scaled_terms(target, x, steps, weights)
+    scale = np.array([math.exp(e) if e <= _EXP_MAX else math.nan
+                      for e in ell_star.tolist()])
+    return scale / h_gamma * ascending_sum(terms), ell_star
 
 
 def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> float:
@@ -142,31 +127,12 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
     if gamma == 0.0:
         # zeroth-order operator is the identity: drift is exactly -U'(x)
         return float(-target.gradient(x))
-    stencil = build_stencil(gamma, spec.h, spec.K)
-    return _drift_value(stencil, target.potential, target.gradient, float(x), x)
-
-
-def full_drift_multi(target: Target, x, spec: FullCentered, alpha: float) -> np.ndarray:
-    """Per-axis full drift: axis d sees the 1D operator along e_d."""
-    gamma = _check_alpha(alpha)
-    x = np.asarray(x, dtype=float)
-    if gamma == 0.0:
-        return -np.asarray(target.gradient(x), dtype=float)
-    stencil = build_stencil(gamma, spec.h, spec.K)
-    out = np.empty_like(x)
-    for d in range(x.size):
-        def u_of(v, d=d):
-            p = x.copy()
-            p[d] = v
-            return float(np.squeeze(target.potential(p)))
-
-        def du_of(v, d=d):
-            p = x.copy()
-            p[d] = v
-            return float(np.asarray(target.gradient(p))[d])
-
-        out[d] = _drift_value(stencil, u_of, du_of, float(x[d]), x, axis=d)
-    return out
+    st = build_stencil(gamma, spec.h, spec.K)
+    b, ell_star = full_drift_rows(target, np.array([float(x)]),
+                                  st.offsets * st.h, st.weights, st.h**st.gamma)
+    if not math.isfinite(b[0]):
+        raise DriftOverflowError(x, float(ell_star[0]))
+    return float(b[0])
 
 
 def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> float:
@@ -186,15 +152,15 @@ def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> 
     if du_x == 0.0:
         raise UndefinedDiagnosticError(f"U'(x) = 0 at x={x!r}")
     stencil = build_stencil(gamma, h, K_x)
-    ell_star, terms = _scaled_terms(stencil, target.potential, target.gradient,
-                                    float(x))
-    s = ascending_sum(terms)
+    ell_star, terms = _scaled_terms(target, np.array([float(x)]),
+                                    stencil.offsets * stencil.h, stencil.weights)
+    s = float(ascending_sum(terms)[0])
     if s == 0.0:
         return math.inf
     g_0 = float(stencil.coeffs[0])
     log_ratio = math.log(abs(s)) - math.log(abs(g_0)) - math.log(abs(du_x))
     try:
-        return math.exp((ell_star + log_ratio) / gamma)
+        return math.exp((float(ell_star[0]) + log_ratio) / gamma)
     except OverflowError:
         return math.inf
 
@@ -222,29 +188,25 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     if grid.size == 0:
         raise ValueError("empty grid")
     ca = c_alpha(alpha)
-    stencil = build_stencil(gamma, h, K_star)
+    st = build_stencil(gamma, h, K_star)
     per_point = np.full(grid.size, np.nan)
-    skipped = 0
-    for i, x in enumerate(grid):
-        x = float(x)
-        ell_star, terms = _scaled_terms(stencil, target.potential,
-                                        target.gradient, x)
-        if ell_star > _EXP_MAX:
+    for lo in range(0, grid.size, _KAPPA_ROWS):
+        xs = grid[lo:lo + _KAPPA_ROWS]
+        ell_star, terms = _scaled_terms(target, xs, st.offsets * st.h, st.weights)
+        ok = ~(ell_star > _EXP_MAX)
+        for x, ell in zip(xs[~ok].tolist(), ell_star[~ok].tolist()):
             log.warning("kappa: skipping grid point %r (drift overflow, "
-                        "exponent %r)", x, ell_star)
-            skipped += 1
-            continue
-        scale = math.exp(ell_star) / h**gamma
-        # terms are ordered (0, -1, +1, -2, +2, ...): widen center-outward
-        s0 = terms[0]
-        pair_sums = terms[1::2] + terms[2::2]
-        b = scale * (s0 + np.cumsum(pair_sums))  # b[K-1] = b_{K}, K = 1..K_star
-        b_star = b[-1]
-        b_hat = -ca * float(target.gradient(x))
-        e = np.abs(b - b_star)
-        e_hat = abs(b_hat - b_star)
-        per_point[i] = 1 + int(np.argmin(np.abs(e - e_hat)))  # first min: smallest K
-    valid = per_point[~np.isnan(per_point)]
-    if valid.size == 0:
+                        "exponent %r)", x, ell)
+        scale = np.array([math.exp(e) for e in ell_star[ok].tolist()]) / h**gamma
+        t = terms[ok]  # nodes run 0, -1, +1, -2, +2, ...: b[:, K-1] = b_K
+        b = scale[:, None] * (t[:, :1] + np.cumsum(t[:, 1::2] + t[:, 2::2], axis=1))
+        b_hat = np.array([-ca * float(target.gradient(x)) for x in xs[ok].tolist()])
+        e = np.abs(b - b[:, -1:])  # b[:, -1] is b* = b_{K_star}
+        e_hat = np.abs(b_hat - b[:, -1])
+        per_point[lo:lo + _KAPPA_ROWS][ok] = 1 + np.argmin(  # first: smallest K
+            np.abs(e - e_hat[:, None]), axis=1)
+    skipped = np.isnan(per_point)
+    if skipped.all():
         raise DriftOverflowError(grid, math.inf)
-    return KappaResult(float(np.mean(valid)), per_point, skipped)
+    return KappaResult(float(np.mean(per_point[~skipped])), per_point,
+                       int(skipped.sum()))

@@ -111,16 +111,20 @@ def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
                         weights=_read_only(coeffs[np.abs(offsets)]))
 
 
-def ascending_sum(terms: np.ndarray) -> float:
+def ascending_sum(terms: np.ndarray):
     """Sum in ascending magnitude, accumulated left to right from 0.0.
 
     Ties keep their input order, so the centre-outward layout cancels
     symmetric +-k pairs exactly; cumsum accumulates sequentially, so the
-    result equals a Python loop bit for bit, sign of zero included.
+    result equals a Python loop bit for bit, sign of zero included. A 1-D
+    input gives a float; an (R, n) input gives the (R,) row sums.
     """
-    terms = np.asarray(terms, dtype=float)
-    order = np.argsort(np.abs(terms), kind="stable")
-    return float(np.cumsum(np.concatenate(([0.0], terms[order])))[-1])
+    rows = np.atleast_2d(np.asarray(terms, dtype=float))
+    order = np.argsort(np.abs(rows), axis=1, kind="stable")
+    ordered = rows[np.arange(len(rows))[:, None], order]
+    zero = np.zeros((len(rows), 1))
+    sums = np.cumsum(np.concatenate((zero, ordered), axis=1), axis=1)[:, -1]
+    return float(sums[0]) if np.ndim(terms) == 1 else sums
 
 
 def truncated_centered_difference(stencil: RieszStencil, f, x: float) -> float:

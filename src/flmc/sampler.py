@@ -3,7 +3,8 @@
 One step is X_n = X_{n-1} + eta_n * drift(X_{n-1}) + eta_n**(1/alpha) * L_n
 with L_n a standard SaS(alpha) vector. The drift is dispatched per the
 configured variant; the weighted running average
-(1/H_N) sum_n eta_n g(X_n) estimates E_pi[g].
+(1/H_N) sum_n eta_n g(X_n) estimates E_pi[g]. run_ensemble steps many 1-D
+full-drift chains in lockstep, each bitwise equal to its run_chain.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .drift import FullCentered, Reference, Simplified, full_drift, full_drift_multi
-from .riesz import c_alpha
+from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
+                    full_drift_rows)
+from .riesz import build_stencil, c_alpha
 from .stable import StableNoise, sample_sas_vector
 from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 
@@ -28,6 +30,8 @@ __all__ = [
     "ChainFailure",
     "run_chain",
     "run_repeats",
+    "run_ensemble",
+    "summarize_repeats",
     "RepeatSummary",
 ]
 
@@ -79,7 +83,7 @@ def _eta_array(schedule: Schedule, n_steps: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SamplerConfig:
     alpha: float
-    drift_spec: Union[Simplified, FullCentered, Reference]
+    drift_spec: Union[Simplified, FullCentered]
     schedule: Schedule
     iterations: int
     seed: int
@@ -132,21 +136,14 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _check_minibatch(config: SamplerConfig, target: Target):
-    if config.minibatch_size is not None and target.data_size <= 0:
-        raise ValueError("minibatch configured but target has no data terms")
-
-
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
     """Returns drift(x, n) per the configured variant."""
     spec = config.drift_spec
     alpha = config.alpha
-    if isinstance(spec, Reference):
-        spec = spec.as_full()
     if isinstance(spec, FullCentered):
-        if target.dim == 1:
-            return lambda x, n, s=spec: full_drift(target, x, s, alpha)
-        return lambda x, n, s=spec: full_drift_multi(target, x, s, alpha)
+        if target.dim != 1:
+            raise ValueError("the full drift needs a one-dimensional target")
+        return lambda x, n: full_drift(target, x, spec, alpha)
     ca = c_alpha(alpha)
     if config.minibatch_size is None:
         return lambda x, n: -ca * target.gradient(x)
@@ -160,12 +157,6 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
         target, x, draw_minibatch(target.data_size, n_omega, batch_rng))
 
 
-def _guard(state, n, seed):
-    arr = np.asarray(state)
-    if not np.all(np.isfinite(arr)) or np.any(np.abs(arr) > _DIVERGENCE_BOUND):
-        raise ChainFailure(seed, n, state, "divergence")
-
-
 def run_chain(config: SamplerConfig, target: Target,
               test_functions: Union[Mapping[str, Callable], Sequence[Callable], None] = None,
               snapshot_estimates: bool = False) -> Trace:
@@ -176,7 +167,8 @@ def run_chain(config: SamplerConfig, target: Target,
     accumulators update on every step with the post-update state; the
     record stride only thins the stored trajectory.
     """
-    _check_minibatch(config, target)
+    if config.minibatch_size is not None and target.data_size <= 0:
+        raise ValueError("minibatch configured but target has no data terms")
     if target.dim == 1 and np.size(config.initial_state) != 1:
         raise ValueError(
             f"1-D target needs a scalar initial state, got "
@@ -214,7 +206,8 @@ def run_chain(config: SamplerConfig, target: Target,
                     raise ChainFailure(config.seed, n, x, "divergence")
             else:
                 x = x + eta * np.asarray(b, float) + eta_roots[i] * noise[i]
-                _guard(x, n, config.seed)
+                if not np.all(np.isfinite(x)) or np.any(np.abs(x) > _DIVERGENCE_BOUND):
+                    raise ChainFailure(config.seed, n, x, "divergence")
             H += eta
             for name, g in gs.items():
                 acc[name] = acc[name] + eta * g(x)
@@ -253,8 +246,25 @@ class RepeatSummary:
 
 def repeat_seeds(base_seed: int, repeats: int) -> list:
     """Deterministic per-repeat seeds derived from a base seed."""
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     return [int(s) for s in
             np.random.SeedSequence(base_seed).generate_state(repeats, np.uint64)]
+
+
+def summarize_repeats(outcomes: Sequence, truth: float) -> RepeatSummary:
+    """Bias summary of per-repeat outcomes, each an estimate or a ChainFailure."""
+    estimates = [v for v in outcomes if not isinstance(v, ChainFailure)]
+    failures = [(r, v) for r, v in enumerate(outcomes)
+                if isinstance(v, ChainFailure)]
+    if estimates:
+        errs = np.abs(np.asarray(estimates, dtype=float) - truth)
+        bias = float(np.mean(errs))
+        se = float(np.std(errs, ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
+    else:
+        bias, se = math.nan, math.nan
+    return RepeatSummary(estimates=estimates, mean_abs_bias=bias, se=se,
+                         failures=failures, n_failed=len(failures))
 
 
 def run_repeats(config: SamplerConfig, target: Target, g: Callable,
@@ -264,28 +274,78 @@ def run_repeats(config: SamplerConfig, target: Target, g: Callable,
 
     Seeds derive deterministically from config.seed. Failed repeats are
     excluded from the summary and reported with a count. initial_states
-    optionally overrides the configured initial state per repeat.
+    optionally overrides the configured initial state per repeat. Only the
+    estimates are kept, so no trajectory is recorded.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    seeds = repeat_seeds(config.seed, repeats)
     if initial_states is not None and len(initial_states) != repeats:
         raise ValueError("initial_states must have one entry per repeat")
-    estimates, failures = [], []
-    for r, seed in enumerate(repeat_seeds(config.seed, repeats)):
-        cfg = replace(config, seed=seed)
+    outcomes = []
+    for r, seed in enumerate(seeds):
+        cfg = replace(config, seed=seed, record_stride=config.iterations)
         if initial_states is not None:
             cfg = replace(cfg, initial_state=initial_states[r])
         try:
-            trace = run_chain(cfg, target, {"g": g})
+            outcomes.append(run_chain(cfg, target, {"g": g}).estimates["g"])
         except ChainFailure as e:
-            failures.append((r, e))
-            continue
-        estimates.append(trace.estimates["g"])
-    if estimates:
-        errs = np.abs(np.asarray(estimates, dtype=float) - truth)
-        bias = float(np.mean(errs))
-        se = float(np.std(errs, ddof=1) / math.sqrt(errs.size)) if errs.size > 1 else 0.0
-    else:
-        bias, se = math.nan, math.nan
-    return RepeatSummary(estimates=estimates, mean_abs_bias=bias, se=se,
-                         failures=failures, n_failed=len(failures))
+            outcomes.append(e)
+    return summarize_repeats(outcomes, truth)
+
+
+def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
+                 g: Callable) -> list:
+    """One-dimensional full-drift chains in lockstep, one per config.
+
+    The configs share alpha < 2, K, schedule and iterations, and differ in
+    seed, h and initial state. Entry r is the estimate of g that
+    run_chain(configs[r], target, {"g": g}) returns, bit for bit, or the
+    ChainFailure it raises (same step, state and cause). Each step
+    evaluates every chain's drift on one (R, 2K+1) stencil table; g and
+    the target's potential and gradient must act elementwise on arrays.
+    """
+    if not configs:
+        return []
+    c0 = configs[0]
+    if (target.dim != 1 or c0.alpha == 2.0
+            or not all(isinstance(c.drift_spec, FullCentered) for c in configs)
+            or len({(c.alpha, c.drift_spec.K, c.schedule, c.iterations)
+                    for c in configs}) != 1):
+        raise ValueError("an ensemble runs 1-D full-drift chains that share "
+                         "alpha < 2, K, schedule and iterations")
+    N, alpha = c0.iterations, c0.alpha
+    sts = [build_stencil(alpha - 2.0, c.drift_spec.h, c.drift_spec.K)
+           for c in configs]
+    steps = np.stack([st.offsets * st.h for st in sts])
+    weights = np.stack([st.weights for st in sts])
+    h_gamma = np.array([st.h**st.gamma for st in sts])
+    x = np.array([np.asarray(c.initial_state, dtype=float).item()
+                  for c in configs])
+    noise = np.empty((len(configs), N))
+    for r, c in enumerate(configs):  # row by row: no second copy of the block
+        noise[r] = sample_sas_vector(StableNoise(alpha, 1.0), N, _streams(c.seed)[0])
+    etas = _eta_array(c0.schedule, N)
+    eta_roots = etas ** (1.0 / alpha)
+    out, live = [None] * len(configs), np.ones(len(configs), dtype=bool)
+    acc, H = np.zeros(len(configs)), 0.0
+    for i in range(N):
+        if not live.any():
+            break
+        n = i + 1
+        eta = float(etas[i])
+        b, ell_star = full_drift_rows(target, x, steps, weights, h_gamma)
+        for r in np.flatnonzero(live & ~np.isfinite(b)).tolist():
+            out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
+                                  DriftOverflowError(float(x[r]), float(ell_star[r])))
+        live &= np.isfinite(b)
+        x = x + eta * b + eta_roots[i] * noise[:, i]
+        diverged = live & (~np.isfinite(x) | (np.abs(x) > _DIVERGENCE_BOUND))
+        for r in np.flatnonzero(diverged).tolist():
+            out[r] = ChainFailure(configs[r].seed, n, float(x[r]), "divergence")
+        live &= ~diverged
+        x[~live] = 0.0  # a failed chain idles at a finite state, unread
+        H += eta
+        acc = acc + eta * g(x)
+    estimates = (acc / H).tolist()
+    for r in np.flatnonzero(live).tolist():
+        out[r] = estimates[r]
+    return out

@@ -233,6 +233,8 @@ def import_mf_csv(path, I: int, J: int, L: int) -> Target:
         for line in fh:
             r, c, v = line.strip().split(",")
             rows.append(int(r)); cols.append(int(c)); vals.append(float(v))
+    if not rows:
+        raise ValueError("MF CSV holds no observations")
     Y = np.zeros((I, J))
     Y[rows, cols] = vals
     train_idx = np.array([rows, cols]).T

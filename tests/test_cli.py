@@ -1,5 +1,6 @@
 """Flag grammar, report formats, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flmc import cli
 from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       build_target, drift_label, initial_states,
                       kappa_report, main, mf_report,
@@ -15,8 +17,9 @@ from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       resolve_truth, schedule_label, write_json, write_report,
                       ExperimentReport)
 from flmc.drift import FullCentered, Simplified
+from flmc.oracle import SupportError
 from flmc.sampler import (Constant, Polynomial, SamplerConfig, run_chain,
-                          run_repeats)
+                          run_ensemble, run_repeats)
 from flmc.targets import (double_well_stationary_points, double_well_target,
                           synthetic_mf_target)
 
@@ -161,6 +164,47 @@ def test_wider_truncation_no_worse_paired(m_star):
     assert bias[30] <= bias[2]
 
 
+# sha256 of the CSV and .meta.json of bias_sweep_report(DW, (1.5, 2.0),
+# (0.05, 0.1, 0.2), (1, 5), schedule, 300, 3, 7, "wells", m_star), recorded
+# when every cell still ran one run_repeats; at const:0.02 two repeats of
+# the (1.5, 0.2, 5) cell diverge
+PINNED_BIAS_SWEEP = {
+    "poly:1e-07,0.6": (
+        "b2cd3eb2ecf3825e66f517158e35ca9a7513f9471f9944d3fce9040ab4d8aef0",
+        "3c7998ab6d4c40e9643df63db492d6c920a24c9a59de0a1121a84bc841eef157"),
+    "const:0.02": (
+        "ae5bb3ed6f69a0752183ee66595227dacb381b2611bba8ff0cf074ae1a6f332b",
+        "579d3c7df3feb2bd4e7f5cda0a3c06359462f52b98abc1c9920cac03774cc7a2"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_BIAS_SWEEP))
+def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
+    rep = bias_sweep_report(double_well_target(), (1.5, 2.0), (0.05, 0.1, 0.2),
+                            (1, 5), parse_schedule(label), 300, 3, 7, "wells",
+                            m_star)
+    out = tmp_path / "bias.csv"
+    write_report(rep, str(out))
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "bias.csv.meta.json"))
+    assert digests == PINNED_BIAS_SWEEP[label]
+
+
+def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
+    calls = []
+
+    def counting(cfgs, target, g):
+        calls.append((cfgs[0].alpha, cfgs[0].drift_spec.K, len(cfgs)))
+        return run_ensemble(cfgs, target, g)
+
+    monkeypatch.setattr(cli, "run_ensemble", counting)
+    bias_sweep_report(double_well_target(), (1.5, 1.7, 2.0), (0.05, 0.1, 0.2),
+                      (1, 5), Polynomial(1e-7, 0.6), 20, 3, 7, "wells", m_star)
+    # alpha = 2 cells run on run_repeats; every other (alpha, K) is one
+    # call covering all three h values and all three repeats
+    assert sorted(calls) == [(1.5, 1, 9), (1.5, 5, 9), (1.7, 1, 9), (1.7, 5, 9)]
+
+
 def test_kappa_report_shape():
     rep = kappa_report(double_well_target(), (1.7,), 0.06, 40, -4.0, 4.0, 9)
     assert rep.columns == ("alpha", "h", "K_star", "grid_size", "kappa_hat",
@@ -252,6 +296,20 @@ def test_chain_failure_exits_one_with_diagnostic(tmp_path, capsys):
     assert diag["error"] == "chain-failure"
     assert diag["cause"] == "divergence"
     assert diag["step"] >= 1
+
+
+def test_support_error_exits_one_with_diagnostic(tmp_path, capsys, monkeypatch):
+    # SupportError subclasses ValueError but is a runtime failure, not a
+    # usage error
+    def no_support(fixtures_path):
+        raise SupportError("density mass leaks past the integration window")
+
+    monkeypatch.setattr(cli, "resolve_truth", no_support)
+    code = main(["bias-h", "--h-list", "0.05", "--n", "10", "--repeats", "1",
+                 "--outdir", str(tmp_path)])
+    assert code == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "SupportError"
 
 
 def test_sample_reruns_byte_identical(tmp_path):

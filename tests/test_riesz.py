@@ -133,6 +133,10 @@ def test_ascending_sum_matches_sequential_loop(loose, paired, data):
         terms = data.draw(st.permutations(terms))
     arr = np.array(terms, dtype=float)
     assert ascending_sum(arr).hex() == _loop_ascending_sum(arr).hex()
+    # an (R, n) table sums each row on its own, in that row's own order
+    rows = np.stack([arr, arr[::-1], -arr])
+    assert [v.hex() for v in ascending_sum(rows).tolist()] == [
+        _loop_ascending_sum(r).hex() for r in rows]
 
 
 def test_identity_operator_evaluation():

@@ -3,12 +3,14 @@ stream discipline, and failure reporting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
-                          _eta_array, repeat_seeds, run_chain, run_repeats,
-                          schedule_eta)
+                          _eta_array, repeat_seeds, run_chain, run_ensemble,
+                          run_repeats, schedule_eta)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (Target, double_well_target, gaussian_target,
                           synthetic_mf_target)
@@ -358,3 +360,86 @@ def test_mode_trapping_bias_scale(m_star):
     summary = run_repeats(cfg, DW, lambda x: x, repeats=10, truth=m_star)
     assert summary.n_failed == 0
     assert 2.0 < summary.mean_abs_bias < 4.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep full-drift ensemble
+# ---------------------------------------------------------------------------
+
+def _chain_outcome(cfg):
+    try:
+        return run_chain(cfg, DW, {"g": lambda x: x}).estimates["g"]
+    except ChainFailure as e:
+        return e
+
+
+def _outcome_key(v):
+    # an estimate by its bits; a failure by seed, step, state and cause
+    if isinstance(v, ChainFailure):
+        return ("failed", v.seed, v.n, v.state.hex(), type(v.cause).__name__,
+                str(v.cause))
+    return ("ok", v.hex())
+
+
+def _ensemble_matches_chains(cfgs):
+    got = [_outcome_key(v) for v in run_ensemble(cfgs, DW, lambda x: x)]
+    want = [_outcome_key(_chain_outcome(c)) for c in cfgs]
+    assert got == want
+    return want
+
+
+def test_ensemble_matches_chains_through_both_failures():
+    # at this setting rows overflow and rows diverge, at different steps,
+    # beside surviving rows: frozen rows must not touch live ones
+    cfgs = [SamplerConfig(alpha=1.2, drift_spec=FullCentered(h, 5),
+                          schedule=Constant(0.02), iterations=60, seed=seed,
+                          initial_state=x0)
+            for h in (0.1, 0.5) for seed in range(4) for x0 in (-4.0, 0.0, 3.9)]
+    keys = _ensemble_matches_chains(cfgs)
+    kinds = {k[4] if k[0] == "failed" else "ok" for k in keys}
+    assert kinds == {"ok", "str", "DriftOverflowError"}
+    assert len({k[2] for k in keys if k[0] == "failed"}) > 1
+
+
+_SCHEDULES = st.one_of(
+    st.builds(Polynomial, st.sampled_from((1e-7, 1e-5, 1e-3)),
+              st.sampled_from((0.51, 0.6, 0.9))),
+    st.builds(Constant, st.sampled_from((0.002, 0.02, 0.05, 0.1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.floats(1.05, 1.95), K=st.integers(1, 20), schedule=_SCHEDULES,
+       iterations=st.integers(1, 80),
+       chains=st.lists(st.tuples(st.sampled_from((0.01, 0.03, 0.06, 0.1, 0.5)),
+                                 st.integers(0, 2**32 - 1),
+                                 st.floats(-4.0, 4.0)),
+                       min_size=1, max_size=8))
+def test_ensemble_equals_run_chain(alpha, K, schedule, iterations, chains):
+    _ensemble_matches_chains(
+        [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
+                       schedule=schedule, iterations=iterations, seed=seed,
+                       initial_state=x0) for h, seed, x0 in chains])
+
+
+def test_ensemble_validation():
+    cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 5),
+                        schedule=Constant(0.01), iterations=10, seed=0)
+    for other in (SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 6),
+                                schedule=Constant(0.01), iterations=10, seed=0),
+                  SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                                schedule=Constant(0.01), iterations=10, seed=0)):
+        with pytest.raises(ValueError, match="ensemble"):
+            run_ensemble([cfg, other], DW, lambda x: x)
+    gauss = SamplerConfig(alpha=2.0, drift_spec=FullCentered(0.06, 5),
+                          schedule=Constant(0.01), iterations=10, seed=0)
+    with pytest.raises(ValueError, match="ensemble"):
+        run_ensemble([gauss], DW, lambda x: x)
+    assert run_ensemble([], DW, lambda x: x) == []
+
+
+def test_full_drift_needs_one_dimensional_target():
+    cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 5),
+                        schedule=Constant(0.01), iterations=5, seed=0,
+                        initial_state=np.zeros(2))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        run_chain(cfg, gaussian_target(np.zeros(2), 1.0))

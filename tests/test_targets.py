@@ -248,6 +248,13 @@ def test_mf_csv_rejects_bad_header(tmp_path):
         import_mf_csv(p, 2, 2, 1)
 
 
+def test_mf_csv_rejects_header_only(tmp_path):
+    p = tmp_path / "empty.csv"
+    p.write_text("row,col,value\n")
+    with pytest.raises(ValueError, match="no observations"):
+        import_mf_csv(p, 2, 2, 1)
+
+
 def test_mf_rejects_degenerate_shapes():
     with pytest.raises(ValueError):
         synthetic_mf_target(0, 5, 2)
