@@ -232,21 +232,23 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
     Cells share the base seed, so cells differing only in (h, K) see the
     same noise streams; failed repeats are excluded and counted per cell.
     Each (alpha, K) with alpha < 2 runs every h and repeat as one
-    run_ensemble call; alpha = 2 cells run on run_repeats.
+    run_ensemble call. At alpha = 2 the drift is -U'(x) whatever h and K,
+    so one run_repeats of the first cell serves every (2.0, h, K) cell.
     """
     inits = initial_states(init_policy, repeats)
     seeds = repeat_seeds(seed, repeats)
-    hs = sorted(set(h_values))
+    hs, Ks = sorted(set(h_values)), sorted(set(K_values))
     cells = {}
     for alpha in sorted(set(alphas)):
-        for K in sorted(set(K_values)):
+        for K in Ks:
             cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
                                   schedule=schedule, iterations=n_steps,
                                   seed=seed) for h in hs]
-            if alpha == 2.0:  # drift -U'(x) on a Python float: one by one
-                cells.update({(alpha, h, K): run_repeats(
-                    cfg, target, lambda x: x, repeats, truth,
-                    initial_states=inits) for h, cfg in zip(hs, cfgs)})
+            if alpha == 2.0:
+                if K == Ks[0]:
+                    gaussian = run_repeats(cfgs[0], target, lambda x: x,
+                                           repeats, truth, initial_states=inits)
+                cells.update({(alpha, h, K): gaussian for h in hs})
                 continue
             outcomes = run_ensemble(
                 [replace(cfg, seed=s, initial_state=x0)
@@ -563,8 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if os.environ.get("FLMC_VERBOSE"):
         logging.basicConfig(level=logging.INFO)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse: usage errors exit 2, --help 0
+        return e.code
     try:
         return args.func(args)
     except UsageError as e:

@@ -46,7 +46,7 @@ _KAPPA_ROWS = 16
 
 
 class DriftOverflowError(ArithmeticError):
-    """The factored exponent exceeds the representable range at x."""
+    """The drift at x overflows: its factored exponent, or U'(x) itself."""
 
     def __init__(self, x, ell_star):
         self.x = x
@@ -122,11 +122,18 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
     With ell_k = U(x) - U(x - k h) and ell* their max, evaluates
     (exp(ell*) / h**gamma) * sum_k g_k * (-U'(x - k h)) * exp(ell_k - ell*),
     summing the signed terms in ascending magnitude. gamma = alpha - 2.
+    The result is finite; where it is not, DriftOverflowError is raised.
     """
     gamma = _check_alpha(alpha)
     if gamma == 0.0:
         # zeroth-order operator is the identity: drift is exactly -U'(x)
-        return float(-target.gradient(x))
+        try:
+            b = float(-target.gradient(x))
+        except OverflowError:  # a Python float's x**3 raises, never gives inf
+            b = math.inf
+        if not math.isfinite(b):
+            raise DriftOverflowError(x, math.inf)
+        return b
     st = build_stencil(gamma, spec.h, spec.K)
     b, ell_star = full_drift_rows(target, np.array([float(x)]),
                                   st.offsets * st.h, st.weights, st.h**st.gamma)

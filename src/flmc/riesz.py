@@ -88,9 +88,6 @@ class RieszStencil:
     offsets: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
-    def nodes(self, x: float) -> np.ndarray:
-        return x - self.offsets * self.h
-
 
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
 def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
@@ -134,7 +131,7 @@ def truncated_centered_difference(stencil: RieszStencil, f, x: float) -> float:
     NodeEvaluationError naming the node. The weighted values are summed
     with ascending_sum.
     """
-    nodes = stencil.nodes(x)
+    nodes = x - stencil.offsets * stencil.h
     values = np.array([float(f(v)) for v in nodes])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:

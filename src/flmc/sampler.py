@@ -24,7 +24,6 @@ from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 __all__ = [
     "Polynomial",
     "Constant",
-    "schedule_eta",
     "SamplerConfig",
     "Trace",
     "ChainFailure",
@@ -62,15 +61,6 @@ class Constant:
 
 
 Schedule = Union[Polynomial, Constant]
-
-
-def schedule_eta(schedule: Schedule, n: int) -> float:
-    """Step size for the n-th update, n >= 1."""
-    if n < 1:
-        raise ValueError("step index starts at 1")
-    if isinstance(schedule, Polynomial):
-        return (schedule.a / n) ** schedule.b
-    return schedule.eta
 
 
 def _eta_array(schedule: Schedule, n_steps: int) -> np.ndarray:
@@ -123,8 +113,7 @@ class Trace:
     states: np.ndarray              # (n_recorded, D)
     etas: np.ndarray                # step sizes at the recorded steps
     H_N: float                      # sum of all step sizes, recorded or not
-    accumulators: dict              # name -> sum of eta_n * g(x_n), every step
-    estimates: dict                 # name -> accumulator / H_N
+    estimates: dict                 # name -> sum of eta_n * g(x_n) / H_N
     final_state: np.ndarray
     snapshots: list = field(default_factory=list)  # (n, {name: estimate}) at records
 
@@ -158,7 +147,7 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
 
 
 def run_chain(config: SamplerConfig, target: Target,
-              test_functions: Union[Mapping[str, Callable], Sequence[Callable], None] = None,
+              test_functions: Optional[Mapping[str, Callable]] = None,
               snapshot_estimates: bool = False) -> Trace:
     """Run the configured number of steps and accumulate the estimators.
 
@@ -173,12 +162,7 @@ def run_chain(config: SamplerConfig, target: Target,
         raise ValueError(
             f"1-D target needs a scalar initial state, got "
             f"{np.size(config.initial_state)} values")
-    if isinstance(test_functions, Mapping):
-        gs = dict(test_functions)
-    elif test_functions is None:
-        gs = {}
-    else:
-        gs = {f"g{i}": g for i, g in enumerate(test_functions)}
+    gs = dict(test_functions or {})
 
     noise_rng, batch_rng = _streams(config.seed)
     N, D = config.iterations, target.dim
@@ -228,7 +212,6 @@ def run_chain(config: SamplerConfig, target: Target,
         states=states,
         etas=np.asarray(rec_eta, dtype=float),
         H_N=H,
-        accumulators=acc,
         estimates={k: v / H for k, v in acc.items()},
         final_state=np.atleast_1d(np.asarray(x, dtype=float)),
         snapshots=snapshots,

@@ -23,8 +23,6 @@ __all__ = [
     "synthetic_mf_target",
     "sg_gradient",
     "draw_minibatch",
-    "export_mf_csv",
-    "import_mf_csv",
 ]
 
 
@@ -140,11 +138,6 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
     train_mask = rng.random((I, J)) < 0.9
     train_idx = np.argwhere(train_mask)
     test_idx = np.argwhere(~train_mask)
-    return _mf_target_from_data(I, J, L, Y, train_idx, test_idx,
-                                gen_x=np.concatenate([A0.ravel(), B0.ravel()]))
-
-
-def _mf_target_from_data(I, J, L, Y, train_idx, test_idx, gen_x=None) -> Target:
     n_train = len(train_idx)
     dim = I * L + L * J
     ti, tj = train_idx[:, 0], train_idx[:, 1]
@@ -186,10 +179,9 @@ def _mf_target_from_data(I, J, L, Y, train_idx, test_idx, gen_x=None) -> Target:
         # N_omega == N_Y estimator matches bit for bit
         return prior_grad(x) + loglik_batch(x, np.arange(n_train))
 
-    info = {"I": I, "J": J, "L": L, "Y": Y,
-            "train_idx": train_idx, "test_idx": test_idx}
-    if gen_x is not None:
-        info["gen_x"] = gen_x
+    info = {"I": I, "J": J, "L": L, "Y": Y, "train_idx": train_idx,
+            "test_idx": test_idx,
+            "gen_x": np.concatenate([A0.ravel(), B0.ravel()])}
     return Target(dim=dim, potential=U, gradient=dU, data_size=n_train,
                   prior_grad=prior_grad, loglik_batch=loglik_batch, info=info)
 
@@ -207,36 +199,3 @@ def sg_gradient(target: Target, x: np.ndarray, batch: Minibatch) -> np.ndarray:
         raise ValueError("minibatch index out of range")
     scale = target.data_size / batch.size
     return target.prior_grad(x) + scale * target.loglik_batch(x, batch.indices)
-
-
-# ---------------------------------------------------------------------------
-# MF observation export/import
-# ---------------------------------------------------------------------------
-
-def export_mf_csv(target: Target, path):
-    """Write the training observations as (row, col, value) CSV."""
-    Y = target.info["Y"]
-    idx = target.info["train_idx"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("row,col,value\n")
-        for i, j in idx:
-            fh.write(f"{i},{j},{format(Y[i, j], '.17g')}\n")
-
-
-def import_mf_csv(path, I: int, J: int, L: int) -> Target:
-    """Rebuild an MF target from an exported observation CSV (no test set)."""
-    rows, cols, vals = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "row,col,value":
-            raise ValueError("unexpected MF CSV header")
-        for line in fh:
-            r, c, v = line.strip().split(",")
-            rows.append(int(r)); cols.append(int(c)); vals.append(float(v))
-    if not rows:
-        raise ValueError("MF CSV holds no observations")
-    Y = np.zeros((I, J))
-    Y[rows, cols] = vals
-    train_idx = np.array([rows, cols]).T
-    test_idx = np.empty((0, 2), dtype=int)
-    return _mf_target_from_data(I, J, L, Y, train_idx, test_idx)

@@ -1,6 +1,8 @@
 """Flag grammar, report formats, exit codes, and output determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 
@@ -205,6 +207,24 @@ def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
     assert sorted(calls) == [(1.5, 1, 9), (1.5, 5, 9), (1.7, 1, 9), (1.7, 5, 9)]
 
 
+def test_bias_sweep_one_gaussian_run(monkeypatch, m_star):
+    # at alpha = 2 the drift is -U'(x) whatever h and K: one run_repeats
+    # serves all 3 x 2 cells, and they report the same row
+    calls = []
+
+    def counting(cfg, *args, **kwargs):
+        calls.append((cfg.alpha, cfg.drift_spec))
+        return run_repeats(cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_repeats", counting)
+    rep = bias_sweep_report(double_well_target(), (2.0,), (0.2, 0.05, 0.1),
+                            (5, 1), Polynomial(1e-7, 0.6), 20, 3, 7, "wells",
+                            m_star)
+    assert calls == [(2.0, FullCentered(0.05, 1))]
+    assert len(rep.rows) == 6
+    assert len({row[3:] for row in rep.rows}) == 1
+
+
 def test_kappa_report_shape():
     rep = kappa_report(double_well_target(), (1.7,), 0.06, 40, -4.0, 4.0, 9)
     assert rep.columns == ("alpha", "h", "K_star", "grid_size", "kappa_hat",
@@ -224,6 +244,23 @@ def test_mf_rmse_decreases_for_both_tails():
         assert len(vals) == 800 // 25
         assert vals[-1] < vals[0]
     assert rep.metadata["n_train"] + rep.metadata["n_test"] == 20 * 15
+
+
+# sha256 of the CSV and .meta.json of mf_report((1.5, 2.0), 20, 15, 3, 1,
+# Constant(3e-5), 200, None, 0, 25), recorded while synthetic_mf_target
+# still built its target through a separate data-to-target helper
+PINNED_MF = (
+    "59d35705a163effc9c095027f535d6be24debf3ef473b23d771d8f13a445cc0d",
+    "e83a2457a5b5851757f7b19e9cb68d02c1954e1defde46b42202d9b64f63fe0d")
+
+
+def test_mf_report_pinned_bytes(tmp_path):
+    rep = mf_report((1.5, 2.0), 20, 15, 3, 1, Constant(3e-5), 200, None, 0, 25)
+    out = tmp_path / "mf.csv"
+    write_report(rep, str(out))
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "mf.csv.meta.json"))
+    assert digests == PINNED_MF
 
 
 def test_mf_full_batch_curve_equals_exact_gradient_curve():
@@ -310,6 +347,62 @@ def test_support_error_exits_one_with_diagnostic(tmp_path, capsys, monkeypatch):
     assert code == 1
     diag = json.loads(capsys.readouterr().out)
     assert diag["error"] == "SupportError"
+
+
+# a small grammar of `flmc sample` flag values. Each flag draws a value that
+# parses (extremes and non-finite numbers included) three times in four, so
+# that whole commands also succeed or fail at run time, and otherwise one
+# that is out of range or malformed.
+def _mostly(good, bad):
+    return st.integers(0, 3).flatmap(lambda i: good if i else bad)
+
+
+_NUM = st.sampled_from(["0", "-1", "1e-3", "0.6", "1e300", "nan", "inf", "x"])
+_SCHEDULE = _mostly(
+    st.sampled_from(["const:0.002", "const:0.05", "const:1e300", "const:inf",
+                     "poly:1e-7,0.6", "poly:1e-3,1", "poly:inf,0.7"]),
+    st.one_of(st.builds("const:{}".format, _NUM),
+              st.builds("poly:{},{}".format, _NUM, _NUM),
+              st.sampled_from(["const:", "poly:1e-3", "linear:1", ""])))
+_DRIFT = _mostly(
+    st.one_of(st.just("simplified"),
+              st.builds("full:{},{}".format,
+                        st.sampled_from(["1e-3", "0.05", "1", "1e300"]),
+                        st.integers(1, 50))),
+    st.one_of(st.builds("full:{},{}".format, _NUM, st.integers(-1, 0)),
+              st.sampled_from(["full:nan,5", "full:-1,5", "full:", "full:0.05",
+                               "full:0.05,2.5", "levy"])))
+_TARGET = _mostly(
+    st.sampled_from(["double-well", "gaussian", "gaussian:3,1e-300",
+                     "gaussian:1e300,2", "gaussian:nan,1"]),
+    st.one_of(st.builds("gaussian:{},{}".format, _NUM, _NUM),
+              st.sampled_from(["nope", "gaussian:1", "gaussian:0,0", ""])))
+_ALPHA = _mostly(st.sampled_from(["1.5", "1.7", "2"]),
+                 st.sampled_from(["1", "0", "-1.5", "2.5", "nan", "inf", "abc"]))
+_INIT = _mostly(st.sampled_from(["0", "-3.6", "1e300", "nan", "inf"]),
+                st.sampled_from(["-inf", "x", ""]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # extreme flag values
+@settings(max_examples=150, deadline=None)
+@given(schedule=_SCHEDULE, drift=_DRIFT, target=_TARGET, alpha=_ALPHA,
+       init=_INIT)
+def test_sample_exit_code_contract(tmp_path_factory, schedule, drift, target,
+                                   alpha, init):
+    # 0 for success, 1 for a runtime failure with JSON on stdout, 2 for a
+    # usage error; main never raises, whatever the flags
+    out = str(tmp_path_factory.getbasetemp() / "contract.csv")
+    argv = ["sample", "--n", "20", "--schedule", schedule, "--drift", drift,
+            "--alpha", alpha, "--init", init, "--target", target, "--out", out]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert isinstance(json.loads(stdout.getvalue()), dict)
+    else:
+        assert stdout.getvalue() == ""
 
 
 def test_sample_reruns_byte_identical(tmp_path):

@@ -157,6 +157,30 @@ def test_overflow_raises_with_location():
     assert exc.value.ell_star > 709.0
 
 
+def test_gaussian_order_overflow_is_drift_overflow():
+    # at alpha = 2 the drift is -U'(x) on a Python float, whose x**3 raises
+    # OverflowError past 1e102; it must surface as the drift's own error
+    with pytest.raises(DriftOverflowError) as exc:
+        full_drift(DW, 1e103, FullCentered(0.06, 5), 2.0)
+    assert exc.value.x == 1e103
+    # 4 x**3 passes the float range without raising: -inf is no drift either
+    with pytest.raises(DriftOverflowError):
+        full_drift(DW, 5e102, FullCentered(0.06, 5), 2.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at huge x
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.one_of(st.just(2.0), st.floats(1.0, 2.0, exclude_min=True)),
+       h=st.floats(1e-3, 1.0), K=st.integers(1, 60),
+       x=st.floats(-1e300, 1e300))
+def test_full_drift_finite_or_overflow_error(alpha, h, K, x):
+    try:
+        b = full_drift(DW, x, FullCentered(h, K), alpha)
+    except DriftOverflowError:
+        return
+    assert isinstance(b, float) and math.isfinite(b)
+
+
 def test_full_drift_needs_vectorised_target():
     # nodes are evaluated as one array; a potential that answers a scalar
     # is a contract error, not a per-node fallback

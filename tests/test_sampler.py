@@ -10,7 +10,7 @@ from scipy.stats import ks_2samp
 from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, repeat_seeds, run_chain, run_ensemble,
-                          run_repeats, schedule_eta)
+                          run_repeats)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (Target, double_well_target, gaussian_target,
                           synthetic_mf_target)
@@ -39,13 +39,12 @@ def test_schedule_validation():
         Polynomial(1e-5, 1.01)
     with pytest.raises(ValueError):
         Constant(0.0)
-    with pytest.raises(ValueError):
-        schedule_eta(Constant(0.1), 0)
 
 
 def test_polynomial_first_step_value():
-    assert schedule_eta(Polynomial(1e-7, 0.6), 1) == pytest.approx(6.3096e-5, rel=1e-4)
-    assert schedule_eta(Polynomial(1e-7, 0.6), 1) == pytest.approx((1e-7) ** 0.6, rel=1e-12)
+    eta_1 = _eta_array(Polynomial(1e-7, 0.6), 1)[0]
+    assert eta_1 == pytest.approx(6.3096e-5, rel=1e-4)
+    assert eta_1 == pytest.approx((1e-7) ** 0.6, rel=1e-12)
 
 
 def test_polynomial_decreasing_with_divergent_sums():
@@ -57,8 +56,9 @@ def test_polynomial_decreasing_with_divergent_sums():
 
 
 def test_constant_schedule_flat():
-    assert schedule_eta(Constant(0.01), 1) == 0.01
-    assert schedule_eta(Constant(0.01), 999) == 0.01
+    etas = _eta_array(Constant(0.01), 999)
+    assert etas.shape == (999,)
+    assert np.all(etas == 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +67,18 @@ def test_constant_schedule_flat():
 
 def test_step_uses_indexed_step_size():
     # zero drift isolates the noise term: x_n - x_{n-1} = eta_n^(1/alpha) * L_n
-    # with L_n the n-th draw of the chain's noise substream
+    # with eta_n the n-th entry of the schedule's step sizes and L_n the n-th
+    # draw of the chain's noise substream
     N = 5
     cfg = _cfg(alpha=1.5, schedule=Polynomial(1e-3, 0.7), iterations=N, seed=11)
     trace = run_chain(cfg, FLAT)
     noise_ss, _ = np.random.SeedSequence(11).spawn(2)
     L = sample_sas_vector(StableNoise(1.5, 1.0), N, np.random.default_rng(noise_ss))
+    roots = _eta_array(cfg.schedule, N) ** (1.0 / 1.5)
+    assert np.all(np.diff(roots) < 0.0)  # a per-step value, not one eta
     x = 0.0
     for n in range(1, N + 1):
-        x = x + schedule_eta(cfg.schedule, n) ** (1.0 / 1.5) * float(L[n - 1])
+        x = x + float(roots[n - 1]) * float(L[n - 1])
         assert trace.states[n - 1, 0] == x
 
 
@@ -140,8 +143,9 @@ def test_record_stride_thins_storage_not_dynamics():
     assert np.array_equal(t_thin.final_state, t_full.final_state)
 
 
-def test_sequence_test_functions_get_positional_names():
-    trace = run_chain(_cfg(iterations=50), DW, [lambda x: x, lambda x: x * x])
+def test_test_functions_name_their_estimates():
+    trace = run_chain(_cfg(iterations=50), DW,
+                      {"g0": lambda x: x, "g1": lambda x: x * x})
     assert set(trace.estimates) == {"g0", "g1"}
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from flmc.targets import (Minibatch, double_well, double_well_grad,
                           double_well_stationary_points, double_well_target,
-                          draw_minibatch, export_mf_csv, gaussian_target,
-                          import_mf_csv, sg_gradient, synthetic_mf_target)
+                          draw_minibatch, gaussian_target, sg_gradient,
+                          synthetic_mf_target)
 
 
 def _fd_grad(U, x, eps=1e-6):
@@ -228,31 +228,6 @@ def test_draw_minibatch_range_and_determinism():
     assert b1.indices.min() >= 0 and b1.indices.max() < 10
     # with replacement: 500 draws from 10 values must repeat
     assert len(np.unique(b1.indices)) <= 10
-
-
-def test_mf_csv_roundtrip(tmp_path, mf):
-    path = tmp_path / "obs.csv"
-    export_mf_csv(mf, path)
-    I, J, L = mf.info["I"], mf.info["J"], mf.info["L"]
-    back = import_mf_csv(path, I, J, L)
-    assert back.data_size == mf.data_size
-    x = np.random.default_rng(29).standard_normal(mf.dim)
-    assert back.potential(x) == mf.potential(x)
-    assert np.array_equal(back.gradient(x), mf.gradient(x))
-
-
-def test_mf_csv_rejects_bad_header(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("a,b,c\n0,0,1.0\n")
-    with pytest.raises(ValueError):
-        import_mf_csv(p, 2, 2, 1)
-
-
-def test_mf_csv_rejects_header_only(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("row,col,value\n")
-    with pytest.raises(ValueError, match="no observations"):
-        import_mf_csv(p, 2, 2, 1)
 
 
 def test_mf_rejects_degenerate_shapes():
