@@ -238,7 +238,7 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
     inits = initial_states(init_policy, repeats)
     seeds = repeat_seeds(seed, repeats)
     hs, Ks = sorted(set(h_values)), sorted(set(K_values))
-    cells = {}
+    cells = {}  # (alpha, h, K) -> summary; the rows are its sorted items
     for alpha in sorted(set(alphas)):
         for K in Ks:
             cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
@@ -258,15 +258,12 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
                 outcomes[j * repeats:(j + 1) * repeats], truth)
                 for j, h in enumerate(hs)})
     rows = []
-    for alpha in sorted(alphas):
-        for h in sorted(h_values):
-            for K in sorted(K_values):
-                summary = cells[alpha, h, K]
-                if summary.n_failed:
-                    log.warning("bias cell alpha=%s h=%s K=%s: %d failed repeats",
-                                alpha, h, K, summary.n_failed)
-                rows.append((alpha, h, K, summary.mean_abs_bias, summary.se,
-                             summary.n_failed))
+    for (alpha, h, K), summary in sorted(cells.items()):
+        if summary.n_failed:
+            log.warning("bias cell alpha=%s h=%s K=%s: %d failed repeats",
+                        alpha, h, K, summary.n_failed)
+        rows.append((alpha, h, K, summary.mean_abs_bias, summary.se,
+                     summary.n_failed))
     meta = {
         "experiment": "bias-sweep",
         "seed": seed,
@@ -286,7 +283,7 @@ def kappa_report(target, alphas, h, K_star, grid_lo, grid_hi, grid_n) -> Experim
     grid = np.linspace(grid_lo, grid_hi, grid_n)
     rows = []
     per_point = {}
-    for alpha in sorted(alphas):
+    for alpha in sorted(set(alphas)):
         res = kappa(target, alpha, h, K_star, grid)
         rows.append((alpha, h, K_star, grid_n, res.kappa_hat, res.skipped))
         per_point[repr(alpha)] = res.per_point
@@ -307,7 +304,7 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
     inits = initial_states(init_policy, repeats)
     rows = []
     cells = []
-    for alpha in sorted(alphas):
+    for alpha in sorted(set(alphas)):
         best = None
         for schedule in grid:
             cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(),
@@ -377,7 +374,7 @@ def mf_report(alphas, I, J, L, data_seed, schedule, n_steps, batch_size,
     if batch_size is None:
         batch_size = max(1, target.data_size // 10)
     rows = []
-    for alpha in sorted(alphas):
+    for alpha in sorted(set(alphas)):
         for n, rmse in mf_rmse_curve(target, alpha, schedule, n_steps,
                                      batch_size, seed, stride):
             rows.append((alpha, n, rmse))

@@ -69,8 +69,8 @@ class FullCentered:
     K: int
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
         if self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K}")
 

@@ -1,10 +1,10 @@
 """Euler-Maruyama chains driven by symmetric alpha-stable noise.
 
 One step is X_n = X_{n-1} + eta_n * drift(X_{n-1}) + eta_n**(1/alpha) * L_n
-with L_n a standard SaS(alpha) vector. The drift is dispatched per the
-configured variant; the weighted running average
-(1/H_N) sum_n eta_n g(X_n) estimates E_pi[g]. run_ensemble steps many 1-D
-full-drift chains in lockstep, each bitwise equal to its run_chain.
+with L_n a standard SaS(alpha) vector, written once for 1-D and vector
+states; the weighted running average (1/H_N) sum_n eta_n g(X_n) estimates
+E_pi[g]. run_ensemble steps many 1-D full-drift chains in lockstep, each
+bitwise equal to its run_chain.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class Polynomial:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError(f"a must be positive, got {self.a}")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"a must be positive and finite, got {self.a}")
         if not (0.5 < self.b <= 1.0):
             raise ValueError(f"b must lie in (0.5, 1], got {self.b}")
 
@@ -56,8 +56,8 @@ class Constant:
     eta: float
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
 
 Schedule = Union[Polynomial, Constant]
@@ -88,6 +88,8 @@ class SamplerConfig:
             raise ValueError("iterations must be >= 1")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
+        if not np.isfinite(np.asarray(self.initial_state, dtype=float)).all():
+            raise ValueError(f"initial_state must be finite, got {self.initial_state}")
         if self.minibatch_size is not None:
             if self.minibatch_size < 1:
                 raise ValueError("minibatch_size must be >= 1")
@@ -125,25 +127,35 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
+def _increments(config: SamplerConfig, noise_rng, dim: int = 1):
+    """Step sizes eta_n and increments eta_n**(1/alpha) * L_n: the (N, dim) noise
+    block, drawn first (the draw's buffers peak) and scaled in place, no copy."""
+    N, noise = config.iterations, StableNoise(config.alpha, 1.0)
+    jumps = sample_sas_vector(noise, N * dim, noise_rng).reshape(N, dim)
+    etas = _eta_array(config.schedule, N)
+    jumps *= (etas ** (1.0 / config.alpha))[:, None]
+    return etas, jumps
+
+
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
-    """Returns drift(x, n) per the configured variant."""
-    spec = config.drift_spec
-    alpha = config.alpha
+    """Returns drift(x) per the configured variant; a float on a 1-D target."""
+    spec, n_omega = config.drift_spec, config.minibatch_size
     if isinstance(spec, FullCentered):
         if target.dim != 1:
             raise ValueError("the full drift needs a one-dimensional target")
-        return lambda x, n: full_drift(target, x, spec, alpha)
-    ca = c_alpha(alpha)
-    if config.minibatch_size is None:
-        return lambda x, n: -ca * target.gradient(x)
-    n_omega = config.minibatch_size
-    if n_omega == target.data_size:
+        return lambda x: full_drift(target, x, spec, config.alpha)
+    if n_omega is None:
+        grad = target.gradient
+    elif n_omega == target.data_size:
         # full batch: enumerate rather than resample, which makes the
         # estimator coincide with the exact gradient term for term
-        full = Minibatch(np.arange(target.data_size), target.data_size)
-        return lambda x, n: -ca * sg_gradient(target, x, full)
-    return lambda x, n: -ca * sg_gradient(
-        target, x, draw_minibatch(target.data_size, n_omega, batch_rng))
+        full = Minibatch(np.arange(n_omega), n_omega)
+        grad = lambda x: sg_gradient(target, x, full)
+    else:
+        grad = lambda x: sg_gradient(
+            target, x, draw_minibatch(target.data_size, n_omega, batch_rng))
+    ca, cast = c_alpha(config.alpha), float if target.dim == 1 else np.asarray
+    return lambda x: -ca * cast(grad(x))
 
 
 def run_chain(config: SamplerConfig, target: Target,
@@ -158,47 +170,34 @@ def run_chain(config: SamplerConfig, target: Target,
     """
     if config.minibatch_size is not None and target.data_size <= 0:
         raise ValueError("minibatch configured but target has no data terms")
-    if target.dim == 1 and np.size(config.initial_state) != 1:
-        raise ValueError(
-            f"1-D target needs a scalar initial state, got "
-            f"{np.size(config.initial_state)} values")
+    N, D, stride = config.iterations, target.dim, config.record_stride
+    x = np.asarray(config.initial_state, dtype=float)
+    if D == 1 and x.size != 1:
+        raise ValueError(f"1-D target needs a scalar initial state, got {x.size} values")
     gs = dict(test_functions or {})
-
     noise_rng, batch_rng = _streams(config.seed)
-    N, D = config.iterations, target.dim
-    noise = sample_sas_vector(StableNoise(config.alpha, 1.0), N * D,
-                              noise_rng).reshape(N, D)
-    etas = _eta_array(config.schedule, N)
-    eta_roots = etas ** (1.0 / config.alpha)
+    etas, jumps = _increments(config, noise_rng, D)
     drift = _drift_fn(config, target, batch_rng)
+    # a Python float step costs a fraction of a size-1 array step; iterating
+    # a memoryview yields one Python float at a time, with no list held
+    if D == 1:
+        x, jumps, size = x.item(), memoryview(jumps[:, 0]), abs
+    else:
+        x, size = x.reshape(D), lambda v: np.abs(v).max()  # NaN propagates
 
-    rec_n, rec_x, rec_eta, snapshots = [], [], [], []
+    rec_x, snapshots = [], []
     acc = {name: 0.0 for name in gs}
     H = 0.0
-
-    scalar = D == 1
-    x = float(np.asarray(config.initial_state).reshape(-1)[0]) if scalar \
-        else np.asarray(config.initial_state, dtype=float).reshape(D).copy()
     try:
-        for i in range(N):
-            n = i + 1
-            eta = float(etas[i])
-            b = drift(x, n)
-            if scalar:
-                x = x + eta * float(b) + float(eta_roots[i]) * float(noise[i, 0])
-                if not math.isfinite(x) or abs(x) > _DIVERGENCE_BOUND:
-                    raise ChainFailure(config.seed, n, x, "divergence")
-            else:
-                x = x + eta * np.asarray(b, float) + eta_roots[i] * noise[i]
-                if not np.all(np.isfinite(x)) or np.any(np.abs(x) > _DIVERGENCE_BOUND):
-                    raise ChainFailure(config.seed, n, x, "divergence")
+        for n, eta, jump in zip(range(1, N + 1), memoryview(etas), jumps):
+            x = x + eta * drift(x) + jump
+            if not size(x) <= _DIVERGENCE_BOUND:  # NaN and inf fail it too
+                raise ChainFailure(config.seed, n, x, "divergence")
             H += eta
             for name, g in gs.items():
                 acc[name] = acc[name] + eta * g(x)
-            if n % config.record_stride == 0:
-                rec_n.append(n)
-                rec_eta.append(eta)
-                rec_x.append(x if scalar else x.copy())
+            if n % stride == 0:
+                rec_x.append(x)
                 if snapshot_estimates:
                     snapshots.append((n, {k: v / H for k, v in acc.items()}))
     except ArithmeticError as e:
@@ -206,11 +205,11 @@ def run_chain(config: SamplerConfig, target: Target,
         # zero) is a chain outcome; anything else is a programming error
         raise ChainFailure(config.seed, n, x, e) from e
 
-    states = np.asarray(rec_x, dtype=float).reshape(len(rec_n), D)
+    iterations = np.arange(stride, N + 1, stride)
     return Trace(
-        iterations=np.asarray(rec_n, dtype=int),
-        states=states,
-        etas=np.asarray(rec_eta, dtype=float),
+        iterations=iterations,
+        states=np.asarray(rec_x, dtype=float).reshape(iterations.size, D),
+        etas=etas[iterations - 1],
         H_N=H,
         estimates={k: v / H for k, v in acc.items()},
         final_state=np.atleast_1d(np.asarray(x, dtype=float)),
@@ -303,25 +302,21 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     h_gamma = np.array([st.h**st.gamma for st in sts])
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
-    noise = np.empty((len(configs), N))
-    for r, c in enumerate(configs):  # row by row: no second copy of the block
-        noise[r] = sample_sas_vector(StableNoise(alpha, 1.0), N, _streams(c.seed)[0])
-    etas = _eta_array(c0.schedule, N)
-    eta_roots = etas ** (1.0 / alpha)
+    jumps = np.empty((N, len(configs)))
+    for r, c in enumerate(configs):  # column by column: no second block
+        etas, jumps[:, r:r + 1] = _increments(c, _streams(c.seed)[0])
     out, live = [None] * len(configs), np.ones(len(configs), dtype=bool)
     acc, H = np.zeros(len(configs)), 0.0
-    for i in range(N):
+    for n, eta, jump in zip(range(1, N + 1), memoryview(etas), jumps):
         if not live.any():
             break
-        n = i + 1
-        eta = float(etas[i])
         b, ell_star = full_drift_rows(target, x, steps, weights, h_gamma)
         for r in np.flatnonzero(live & ~np.isfinite(b)).tolist():
             out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
                                   DriftOverflowError(float(x[r]), float(ell_star[r])))
         live &= np.isfinite(b)
-        x = x + eta * b + eta_roots[i] * noise[:, i]
-        diverged = live & (~np.isfinite(x) | (np.abs(x) > _DIVERGENCE_BOUND))
+        x = x + eta * b + jump
+        diverged = live & ~(np.abs(x) <= _DIVERGENCE_BOUND)
         for r in np.flatnonzero(diverged).tolist():
             out[r] = ChainFailure(configs[r].seed, n, float(x[r]), "divergence")
         live &= ~diverged

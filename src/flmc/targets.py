@@ -98,9 +98,10 @@ def double_well_stationary_points():
 
 def gaussian_target(mean, variance: float) -> Target:
     """U(x) = ||x - mean||^2 / (2*variance)."""
-    if not variance > 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
     mean = np.asarray(mean, dtype=float)
+    if not (0.0 < variance < np.inf and np.isfinite(mean).all()):
+        raise ValueError(f"need a finite mean and a positive finite variance, "
+                         f"got {mean} and {variance}")
     dim = mean.size if mean.ndim else 1
     m = float(mean) if dim == 1 and mean.ndim == 0 else mean
 

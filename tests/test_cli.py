@@ -263,6 +263,55 @@ def test_mf_report_pinned_bytes(tmp_path):
     assert digests == PINNED_MF
 
 
+# sha256 of the CSV and .meta.json of alpha_sweep_report(DW, (1.5, 1.7, 2.0),
+# 3000, 4, 3, "wells", m_star, grid=(Constant(0.01),)), recorded while
+# run_chain had a scalar and a vector step branch; one alpha-1.5 repeat
+# diverges
+PINNED_ALPHA_SWEEP = (
+    "df229e09d3f134aa28b3092d759c50864dd1f49bc27c09a72fcc493a0134eb30",
+    "f99ae332efdc5f9b53d2750b69d04cddff314c64fa6ae446a6d36b603c49097a")
+
+
+def test_alpha_sweep_report_pinned_bytes(tmp_path, m_star):
+    rep = alpha_sweep_report(double_well_target(), (1.5, 1.7, 2.0), 3000, 4, 3,
+                             "wells", m_star, grid=(Constant(0.01),))
+    assert rep.rows[0][4] == 1  # the pin holds a diverged repeat
+    out = tmp_path / "alpha.csv"
+    write_report(rep, str(out))
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "alpha.csv.meta.json"))
+    assert digests == PINNED_ALPHA_SWEEP
+
+
+def test_repeated_values_give_one_row_each(m_star):
+    sched = Polynomial(1e-7, 0.6)
+    args = (200, 2, 7, "wells", m_star)
+    once = bias_sweep_report(double_well_target(), (1.5, 2.0), (0.05, 0.1), (1, 5),
+                             sched, *args)
+    twice = bias_sweep_report(double_well_target(), (2.0, 1.5, 2.0), (0.1, 0.05, 0.1),
+                              (5, 1, 5, 1), sched, *args)
+    assert len(once.rows) == 8
+    assert twice.rows == once.rows and twice.metadata == once.metadata
+
+
+def test_repeated_alphas_run_one_sweep_cell_each(m_star):
+    grid = (Constant(0.002),)
+    args = (300, 2, 5, "wells", m_star)
+    once = alpha_sweep_report(double_well_target(), (1.8, 2.0), *args, grid=grid)
+    twice = alpha_sweep_report(double_well_target(), (2.0, 1.8, 2.0), *args, grid=grid)
+    assert [r[0] for r in once.rows] == [1.8, 2.0]
+    assert twice.rows == once.rows and twice.metadata == once.metadata
+
+
+def test_repeated_alphas_give_one_kappa_and_mf_row_each():
+    dw = double_well_target()
+    kappa_args = (0.06, 20, -4.0, 4.0, 5)
+    assert (kappa_report(dw, (1.7, 1.7), *kappa_args).rows
+            == kappa_report(dw, (1.7,), *kappa_args).rows)
+    mf_args = (8, 6, 2, 1, Constant(1e-4), 50, None, 0, 25)
+    assert mf_report((2.0, 2.0), *mf_args).rows == mf_report((2.0,), *mf_args).rows
+
+
 def test_mf_full_batch_curve_equals_exact_gradient_curve():
     # enumerating minibatch of size N_Y must reproduce the exact-gradient
     # chain, so the two RMSE curves agree point for point
@@ -403,6 +452,37 @@ def test_sample_exit_code_contract(tmp_path_factory, schedule, drift, target,
         assert isinstance(json.loads(stdout.getvalue()), dict)
     else:
         assert stdout.getvalue() == ""
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--init", "nan"), ("--init", "inf"), ("--schedule", "const:inf"),
+    ("--schedule", "poly:inf,0.6"), ("--target", "gaussian:nan,1"),
+    ("--target", "gaussian:0,inf"), ("--drift", "full:inf,5")])
+def test_non_finite_flag_is_usage_error(tmp_path, capsys, flag, value):
+    code = main(_sample_args(tmp_path, **{"--n": "20", flag: value}))
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "finite" in out.err
+
+
+# sha256 of `flmc sample --alpha 1.7 --schedule const:0.002 --n 3000
+# --stride 7 --init -3.6` (double well, seed 0): the CSV and its
+# .summary.json, recorded while run_chain had a scalar and a vector step
+# branch and recorded n and eta at every stride
+PINNED_SAMPLE = (
+    "8b6a67dd002f0da4c1913a6f6c785efafd7c9052d4835aa9c8317c2c4ae21ad6",
+    "4eff26b56668ff24ab2e492429c83c523c6254364ae0c3777da0f62f8021c2af")
+
+
+def test_sample_pinned_bytes(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--alpha", "1.7", "--schedule", "const:0.002",
+                 "--n", "3000", "--stride", "7", "--init", "-3.6",
+                 "--out", str(out)]) == 0
+    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (out, tmp_path / "s.csv.summary.json"))
+    assert digests == PINNED_SAMPLE
 
 
 def test_sample_reruns_byte_identical(tmp_path):

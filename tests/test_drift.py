@@ -24,7 +24,7 @@ def simplified_drift(target, x, alpha):
     """The simplified drift as the sampler applies it."""
     cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(),
                         schedule=Constant(0.01), iterations=1, seed=0)
-    return _drift_fn(cfg, target, None)(x, 1)
+    return _drift_fn(cfg, target, None)(x)
 
 
 def _mp_direct_drift(x, alpha, h, K):

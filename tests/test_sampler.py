@@ -1,19 +1,22 @@
 """Chain mechanics: schedules, update composition, estimator accounting,
 stream discipline, and failure reporting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from flmc.drift import DriftOverflowError, FullCentered, Simplified
+from flmc.drift import DriftOverflowError, FullCentered, Simplified, full_drift
+from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, repeat_seeds, run_chain, run_ensemble,
                           run_repeats)
 from flmc.stable import StableNoise, sample_sas_vector
-from flmc.targets import (Target, double_well_target, gaussian_target,
-                          synthetic_mf_target)
+from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
+                          gaussian_target, sg_gradient, synthetic_mf_target)
 
 DW = double_well_target()
 FLAT = Target(dim=1, potential=lambda v: 0.0, gradient=lambda v: 0.0)
@@ -447,3 +450,201 @@ def test_full_drift_needs_one_dimensional_target():
                         initial_state=np.zeros(2))
     with pytest.raises(ValueError, match="one-dimensional"):
         run_chain(cfg, gaussian_target(np.zeros(2), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# one step body against the two-branch reference
+# ---------------------------------------------------------------------------
+
+def _reference_drift(config, target, batch_rng):
+    # the drift callables as run_chain had them, step index and all
+    spec, alpha = config.drift_spec, config.alpha
+    if isinstance(spec, FullCentered):
+        return lambda x, n: full_drift(target, x, spec, alpha)
+    ca = c_alpha(alpha)
+    if config.minibatch_size is None:
+        return lambda x, n: -ca * target.gradient(x)
+    n_omega = config.minibatch_size
+    if n_omega == target.data_size:
+        full = Minibatch(np.arange(target.data_size), target.data_size)
+        return lambda x, n: -ca * sg_gradient(target, x, full)
+    return lambda x, n: -ca * sg_gradient(
+        target, x, draw_minibatch(target.data_size, n_omega, batch_rng))
+
+
+def _reference_run_chain(config, target, gs, snapshot_estimates):
+    # run_chain as it was written with a scalar and a vector branch, each
+    # with its own update and divergence test, recording n, eta and a copy
+    # of x at every stride; returns a Trace-like tuple or the ChainFailure
+    noise_ss, batch_ss = np.random.SeedSequence(config.seed).spawn(2)
+    noise_rng, batch_rng = np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
+    N, D = config.iterations, target.dim
+    noise = sample_sas_vector(StableNoise(config.alpha, 1.0), N * D,
+                              noise_rng).reshape(N, D)
+    etas = _eta_array(config.schedule, N)
+    eta_roots = etas ** (1.0 / config.alpha)
+    drift = _reference_drift(config, target, batch_rng)
+    rec_n, rec_x, rec_eta, snapshots = [], [], [], []
+    acc = {name: 0.0 for name in gs}
+    H = 0.0
+    scalar = D == 1
+    x = float(np.asarray(config.initial_state).reshape(-1)[0]) if scalar \
+        else np.asarray(config.initial_state, dtype=float).reshape(D).copy()
+    try:
+        for i in range(N):
+            n = i + 1
+            eta = float(etas[i])
+            b = drift(x, n)
+            if scalar:
+                x = x + eta * float(b) + float(eta_roots[i]) * float(noise[i, 0])
+                if not math.isfinite(x) or abs(x) > 1e12:
+                    return ChainFailure(config.seed, n, x, "divergence")
+            else:
+                x = x + eta * np.asarray(b, float) + eta_roots[i] * noise[i]
+                if not np.all(np.isfinite(x)) or np.any(np.abs(x) > 1e12):
+                    return ChainFailure(config.seed, n, x, "divergence")
+            H += eta
+            for name, g in gs.items():
+                acc[name] = acc[name] + eta * g(x)
+            if n % config.record_stride == 0:
+                rec_n.append(n)
+                rec_eta.append(eta)
+                rec_x.append(x if scalar else x.copy())
+                if snapshot_estimates:
+                    snapshots.append((n, {k: v / H for k, v in acc.items()}))
+    except ArithmeticError as e:
+        return ChainFailure(config.seed, n, x, e)
+    states = np.asarray(rec_x, dtype=float).reshape(len(rec_n), D)
+    return (np.asarray(rec_n, dtype=int), states, np.asarray(rec_eta, dtype=float),
+            H, {k: v / H for k, v in acc.items()},
+            np.atleast_1d(np.asarray(x, dtype=float)), snapshots)
+
+
+def _bits(v):
+    # a float by its hex, an array by dtype, shape and bytes
+    if isinstance(v, np.ndarray):
+        return (v.dtype.str, v.shape, v.tobytes())
+    return float(v).hex()
+
+
+def _estimate_bits(est):
+    return {k: _bits(v) for k, v in est.items()}
+
+
+def _run_key(run):
+    if isinstance(run, ChainFailure):
+        return ("failed", run.seed, run.n, _bits(np.asarray(run.state)),
+                type(run.cause).__name__, str(run.cause))
+    iterations, states, etas, H, est, final, snaps = run
+    return ("ok", _bits(iterations), _bits(states), _bits(etas), _bits(H),
+            _estimate_bits(est), _bits(final),
+            [(n, _estimate_bits(e)) for n, e in snaps])
+
+
+def _chain_run(cfg, target, gs, snapshot_estimates):
+    try:
+        t = run_chain(cfg, target, gs, snapshot_estimates=snapshot_estimates)
+    except ChainFailure as e:
+        return e
+    return (t.iterations, t.states, t.etas, t.H_N, t.estimates, t.final_state,
+            t.snapshots)
+
+
+_MF = synthetic_mf_target(3, 4, 1, seed=2)
+_REFERENCE_TARGETS = {
+    "double-well": DW,
+    "gaussian-1d": gaussian_target(0.5, 2.0),
+    "gaussian-2d": gaussian_target(np.array([1.0, -1.0]), 0.5),
+    "gaussian-3d": gaussian_target(np.zeros(3), 1.0),
+    "mf": _MF,
+}
+
+
+@st.composite
+def _reference_cases(draw):
+    name = draw(st.sampled_from(sorted(_REFERENCE_TARGETS)))
+    target = _REFERENCE_TARGETS[name]
+    D = target.dim
+    kw = {}
+    if D == 1:
+        drift = draw(st.sampled_from(["simplified", "full"]))
+        gs = {"x": lambda x: x, "x2": lambda x: x * x}
+        # starts out to 40 reach the full drift's overflow
+        x0 = draw(st.sampled_from([0.0, -3.6, 2.5, 40.0]))
+    else:
+        drift = draw(st.sampled_from(["simplified", "minibatch"] if name == "mf"
+                                     else ["simplified"]))
+        gs = {"x": lambda x: x, "sq": lambda x: float(x @ x)}
+        x0 = np.asarray(draw(st.lists(st.floats(-5.0, 5.0), min_size=D, max_size=D)))
+    if drift == "full":
+        kw["drift_spec"] = FullCentered(draw(st.sampled_from([0.03, 0.1, 0.5])),
+                                        draw(st.integers(1, 10)))
+    else:
+        kw["drift_spec"] = Simplified()
+    if drift == "minibatch":
+        kw["minibatch_size"] = draw(st.sampled_from([1, 4, _MF.data_size]))
+    cfg = SamplerConfig(
+        alpha=draw(st.one_of(st.floats(1.05, 1.99), st.just(2.0))),
+        schedule=draw(st.one_of(
+            st.builds(Polynomial, st.sampled_from((1e-7, 1e-3, 1e-1)),
+                      st.sampled_from((0.51, 0.7, 1.0))),
+            st.builds(Constant, st.sampled_from((0.002, 0.02, 0.1, 0.5, 5.0))))),
+        iterations=draw(st.integers(1, 120)), seed=draw(st.integers(0, 2**32 - 1)),
+        initial_state=x0, record_stride=draw(st.integers(1, 40)), **kw)
+    return cfg, target, gs, draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # chains that overflow
+@settings(max_examples=150, deadline=None)
+@given(case=_reference_cases())
+def test_run_chain_equals_two_branch_reference(case):
+    cfg, target, gs, snap = case
+    assert _run_key(_chain_run(cfg, target, gs, snap)) == _run_key(
+        _reference_run_chain(cfg, target, gs, snap))
+
+
+def test_reference_cases_reach_every_outcome():
+    # the property above sees surviving, diverging and overflowing chains
+    # on both the scalar and the vector path
+    cases = [
+        (SamplerConfig(alpha=1.5, drift_spec=Simplified(), schedule=Constant(0.02),
+                       iterations=50, seed=1, initial_state=-3.6, record_stride=7),
+         DW),
+        (SamplerConfig(alpha=1.2, drift_spec=Simplified(), schedule=Constant(0.5),
+                       iterations=100, seed=3, initial_state=2.5), DW),
+        (SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.1, 5),
+                       schedule=Constant(0.02), iterations=5, seed=0,
+                       initial_state=40.0), DW),
+        (SamplerConfig(alpha=1.6, drift_spec=Simplified(), schedule=Constant(0.002),
+                       iterations=60, seed=4, initial_state=np.zeros(_MF.dim),
+                       minibatch_size=4, record_stride=9), _MF),
+        (SamplerConfig(alpha=1.3, drift_spec=Simplified(), schedule=Constant(5.0),
+                       iterations=120, seed=5, initial_state=np.ones(3)),
+         _REFERENCE_TARGETS["gaussian-3d"]),
+    ]
+    kinds = []
+    for cfg, target in cases:
+        gs = {"x": lambda x: x}
+        got = _chain_run(cfg, target, gs, True)
+        assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, gs, True))
+        kinds.append(_run_key(got)[4] if isinstance(got, ChainFailure) else "ok")
+    assert kinds == ["ok", "str", "DriftOverflowError", "ok", "str"]
+
+
+def test_nan_coordinate_fails_vector_chain_at_that_step():
+    # one coordinate of a 2-D state turns NaN at step 3; the other stays
+    # finite, and the chain fails with "divergence" at that step
+    calls = []
+
+    def grad(v):
+        calls.append(1)
+        return np.array([0.0, math.nan if len(calls) == 3 else 0.0])
+
+    t = Target(dim=2, potential=lambda v: 0.0, gradient=grad)
+    cfg = SamplerConfig(alpha=1.8, drift_spec=Simplified(), schedule=Constant(0.01),
+                        iterations=10, seed=6, initial_state=np.zeros(2))
+    with pytest.raises(ChainFailure) as exc:
+        run_chain(cfg, t)
+    assert exc.value.n == 3
+    assert exc.value.cause == "divergence"
+    assert math.isnan(exc.value.state[1]) and math.isfinite(exc.value.state[0])
