@@ -59,6 +59,8 @@ SCHEDULE_GRID = tuple(
     + [Constant(e) for e in (0.002, 0.005, 0.01)]
 )
 
+_ROW_CHUNK = 4096  # trace rows `flmc sample` converts and writes at a time
+
 
 class UsageError(Exception):
     pass
@@ -351,9 +353,10 @@ def mf_rmse_curve(target, alpha, schedule, n_steps, batch_size, seed, stride):
     y_test = Y[ti, tj]
 
     def predictor(x):
+        # only the test entries are read; indexing the product keeps their bits
         A = x[: I * L].reshape(I, L)
         B = x[I * L:].reshape(L, J)
-        return A @ B
+        return (A @ B)[ti, tj]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     x0 = rng.standard_normal(target.dim)  # prior draw
@@ -363,7 +366,7 @@ def mf_rmse_curve(target, alpha, schedule, n_steps, batch_size, seed, stride):
     trace = run_chain(cfg, target, {"pred": predictor}, snapshot_estimates=True)
     curve = []
     for n, est in trace.snapshots:
-        resid = y_test - est["pred"][ti, tj]
+        resid = y_test - est["pred"]
         curve.append((n, float(np.sqrt(np.mean(resid * resid)))))
     return curve
 
@@ -409,13 +412,16 @@ def cmd_sample(args) -> int:
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
     # '%.17g' % v and format(v, '.17g') use the same float formatter, so
-    # the rows match _fmt's; a generator keeps all rows from being held
+    # the rows match _fmt's; converting _ROW_CHUNK rows at a time keeps no
+    # whole-chain list of Python floats or of rows
     row = "%d" + ",%.17g" * (1 + target.dim) + "\n"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % cells for cells in zip(
-            trace.iterations.tolist(), trace.etas.tolist(),
-            *trace.states.T.tolist()))
+        for lo in range(0, trace.iterations.size, _ROW_CHUNK):
+            rows = slice(lo, lo + _ROW_CHUNK)
+            fh.writelines(row % cells for cells in zip(
+                trace.iterations[rows].tolist(), trace.etas[rows].tolist(),
+                *trace.states[rows].T.tolist()))
     summary = {
         "config": {
             "target": args.target, "alpha": args.alpha,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .targets import Target
 
@@ -127,6 +126,7 @@ def spectral_riesz(f_hat: Callable, gamma: float, x: float) -> float:
     and inverts. Real-valued f gives conjugate-symmetric f_hat, so the
     integral folds onto [0, inf) with twice the real part.
     """
+    from scipy import integrate  # its only use: no command loads scipy
     def integrand(w):
         val = complex(f_hat(w)) * complex(math.cos(w * x), math.sin(w * x))
         return (w ** gamma) * val.real / math.pi

@@ -16,6 +16,7 @@ __all__ = ["StableNoise", "sample_sas_vector"]
 # V draws this close to +-pi/2 would underflow cos(V); redrawing keeps the
 # stream deterministic and changes the law by a ~1e-10 probability event.
 _V_EDGE = np.pi / 2 - 1e-10
+_CHUNK = 1 << 16  # draws per chunk of the (V, W) -> SaS map
 
 
 @dataclass(frozen=True)
@@ -41,37 +42,40 @@ class StableNoise:
 
 
 def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
-    """Chambers-Mallows-Stuck map from (V, W) to SaS draws.
+    """Chambers-Mallows-Stuck map from (V, W) to SaS draws, written into V.
 
     V uniform on (-pi/2, pi/2), W unit exponential. One code path for all
     alpha: at alpha=2 the expression reduces algebraically to
     2*sigma*sin(V)*sqrt(W), i.e. N(0, 2*sigma^2).
     """
     a = noise.alpha
-    # in place on two buffers, so a large block needs no further temporaries;
-    # **= takes the same scalar-power path as ** (sqrt at alpha=2), so the
-    # draws are unchanged bit for bit
-    x = np.multiply(a, V)
-    np.sin(x, out=x)
-    t = np.cos(V)
-    t **= 1.0 / a
-    x /= t
-    np.multiply(1.0 - a, V, out=t)
-    np.cos(t, out=t)
-    t /= W
-    t **= (1.0 - a) / a
-    x *= t
-    x *= noise.sigma
-    return x
+    # _CHUNK draws at a time, each chunk's draws written back into V, so a
+    # block peaks at V and W; every element sees the same operations in the
+    # same order (**= is **'s scalar-power path), so chunking moves no bit
+    for lo in range(0, V.size, _CHUNK):
+        v = V[lo:lo + _CHUNK]
+        x = np.multiply(a, v)
+        np.sin(x, out=x)
+        t = np.cos(v)
+        t **= 1.0 / a
+        x /= t
+        np.multiply(1.0 - a, v, out=t)
+        np.cos(t, out=t)
+        t /= W[lo:lo + _CHUNK]
+        t **= (1.0 - a) / a
+        x *= t
+        np.multiply(x, noise.sigma, out=v)
+    return V
 
 
 def _draw_vw(rng: np.random.Generator, size: int):
     V = rng.uniform(-np.pi / 2, np.pi / 2, size)
     W = rng.standard_exponential(size)
-    bad = np.abs(V) > _V_EDGE
+    # two comparisons rather than np.abs(V) > _V_EDGE: no float temporary
+    bad = (V > _V_EDGE) | (V < -_V_EDGE)
     while bad.any():
         V[bad] = rng.uniform(-np.pi / 2, np.pi / 2, int(bad.sum()))
-        bad = np.abs(V) > _V_EDGE
+        bad = (V > _V_EDGE) | (V < -_V_EDGE)
     return V, W
 
 

@@ -473,16 +473,27 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, flag, value):
 PINNED_SAMPLE = (
     "8b6a67dd002f0da4c1913a6f6c785efafd7c9052d4835aa9c8317c2c4ae21ad6",
     "4eff26b56668ff24ab2e492429c83c523c6254364ae0c3777da0f62f8021c2af")
+# 10 000 rows: several of the trace writer's row chunks
+PINNED_SAMPLE_MULTI_CHUNK = (
+    "1b7e46d9aaca31958f017dd757169db21fba1262135b3c5c3c5365930e2007ab",
+    "7f4210ce6093b5eeced71e98a28b7c8e3a88bb7d6637fcbb2ac108df6d368650")
+
+
+def _sample_digests(tmp_path, n, stride):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--alpha", "1.7", "--schedule", "const:0.002",
+                 "--n", n, "--stride", stride, "--init", "-3.6",
+                 "--out", str(out)]) == 0
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (out, tmp_path / "s.csv.summary.json"))
 
 
 def test_sample_pinned_bytes(tmp_path):
-    out = tmp_path / "s.csv"
-    assert main(["sample", "--alpha", "1.7", "--schedule", "const:0.002",
-                 "--n", "3000", "--stride", "7", "--init", "-3.6",
-                 "--out", str(out)]) == 0
-    digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
-                    for p in (out, tmp_path / "s.csv.summary.json"))
-    assert digests == PINNED_SAMPLE
+    assert _sample_digests(tmp_path, "3000", "7") == PINNED_SAMPLE
+
+
+def test_sample_pinned_bytes_multi_chunk(tmp_path):
+    assert _sample_digests(tmp_path, "10000", "1") == PINNED_SAMPLE_MULTI_CHUNK
 
 
 def test_sample_reruns_byte_identical(tmp_path):

@@ -1,10 +1,15 @@
 """Sanity of the reference integrators against closed forms and fixtures."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import flmc
 from flmc.oracle import (QuadratureError, QuadratureSpec, SupportError,
                          adaptive_simpson, quadrature_expectation,
                          spectral_riesz)
@@ -119,3 +124,29 @@ def test_spectral_tail_function_fixture(oracle_values):
 
     out = spectral_riesz(f_hat, -0.5, 0.0)
     assert out == pytest.approx(ref["value"], abs=ref["tolerance"])
+
+
+_IMPORT_GRAPH_SCRIPT = """
+import json, math, sys
+import flmc, flmc.cli, flmc.oracle
+rc = flmc.cli.main(["sample", "--n", "20", "--stride", "1",
+                    "--out", sys.argv[1]])
+loaded = sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+gauss_hat = lambda w: math.sqrt(2.0 * math.pi) * math.exp(-w * w / 2.0)
+value = flmc.oracle.spectral_riesz(gauss_hat, 0.0, 0.3)
+print(json.dumps({"rc": rc, "scipy": loaded, "spectral": value}))
+"""
+
+
+def test_cli_import_and_sample_load_no_scipy(tmp_path):
+    # scipy serves spectral_riesz alone and is imported on its first call;
+    # a fresh interpreter shows what importing flmc and a sample run load
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(flmc.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GRAPH_SCRIPT, str(tmp_path / "t.csv")],
+        env=env, capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    assert out["scipy"] == []
+    assert out["spectral"] == pytest.approx(math.exp(-0.09 / 2.0), abs=1e-8)

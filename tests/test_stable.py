@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from flmc import stable
 from flmc.stable import StableNoise, sample_sas_vector
 
 
@@ -119,3 +120,50 @@ _PINNED_SHA256 = {
 def test_draws_pinned(alpha):
     x = sample_sas_vector(StableNoise(alpha), 1000, np.random.default_rng(12345))
     assert hashlib.sha256(x.tobytes()).hexdigest() == _PINNED_SHA256[alpha]
+
+
+def _reference_transform(noise, V, W):
+    # the out-of-place map: four whole-block buffers, no chunks
+    a = noise.alpha
+    x = np.multiply(a, V)
+    np.sin(x, out=x)
+    t = np.cos(V)
+    t **= 1.0 / a
+    x /= t
+    np.multiply(1.0 - a, V, out=t)
+    np.cos(t, out=t)
+    t /= W
+    t **= (1.0 - a) / a
+    x *= t
+    x *= noise.sigma
+    return x
+
+
+def _reference_draws(noise, n, rng):
+    V = rng.uniform(-np.pi / 2, np.pi / 2, n)
+    W = rng.standard_exponential(n)
+    bad = np.abs(V) > stable._V_EDGE
+    while bad.any():
+        V[bad] = rng.uniform(-np.pi / 2, np.pi / 2, int(bad.sum()))
+        bad = np.abs(V) > stable._V_EDGE
+    return _reference_transform(noise, V, W)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 2.0])
+def test_draws_do_not_depend_on_chunk_size(alpha, monkeypatch):
+    n, noise = 200_003, StableNoise(alpha, 1.3)
+    ref = _reference_draws(noise, n, np.random.default_rng(77)).tobytes()
+    for chunk in (7, n + 1, stable._CHUNK):
+        monkeypatch.setattr(stable, "_CHUNK", chunk)
+        x = sample_sas_vector(noise, n, np.random.default_rng(77))
+        assert x.tobytes() == ref, chunk
+
+
+def test_edge_redraw_matches_abs_form(monkeypatch):
+    # an edge of 1.0 redraws about a third of V, so the loop runs many times
+    monkeypatch.setattr(stable, "_V_EDGE", 1.0)
+    monkeypatch.setattr(stable, "_CHUNK", 13)
+    noise = StableNoise(1.5, 1.3)
+    x = sample_sas_vector(noise, 10_001, np.random.default_rng(3))
+    ref = _reference_draws(noise, 10_001, np.random.default_rng(3))
+    assert x.tobytes() == ref.tobytes()
