@@ -168,14 +168,15 @@ def test_wider_truncation_no_worse_paired(m_star):
 
 # sha256 of the CSV and .meta.json of bias_sweep_report(DW, (1.5, 2.0),
 # (0.05, 0.1, 0.2), (1, 5), schedule, 300, 3, 7, "wells", m_star), recorded
-# when every cell still ran one run_repeats; at const:0.02 two repeats of
+# when every cell still ran one run_repeats (const:0.02 re-recorded when
+# double_well_grad moved to product form); at const:0.02 two repeats of
 # the (1.5, 0.2, 5) cell diverge
 PINNED_BIAS_SWEEP = {
     "poly:1e-07,0.6": (
         "b2cd3eb2ecf3825e66f517158e35ca9a7513f9471f9944d3fce9040ab4d8aef0",
         "3c7998ab6d4c40e9643df63db492d6c920a24c9a59de0a1121a84bc841eef157"),
     "const:0.02": (
-        "ae5bb3ed6f69a0752183ee66595227dacb381b2611bba8ff0cf074ae1a6f332b",
+        "baafca9c2c6c1a94914a93e89ed50fe99806363169d9c8b9a4639ee89e2493e2",
         "579d3c7df3feb2bd4e7f5cda0a3c06359462f52b98abc1c9920cac03774cc7a2"),
 }
 
@@ -468,14 +469,13 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, flag, value):
 
 # sha256 of `flmc sample --alpha 1.7 --schedule const:0.002 --n 3000
 # --stride 7 --init -3.6` (double well, seed 0): the CSV and its
-# .summary.json, recorded while run_chain had a scalar and a vector step
-# branch and recorded n and eta at every stride
+# .summary.json, recorded when double_well_grad moved to product form
 PINNED_SAMPLE = (
-    "8b6a67dd002f0da4c1913a6f6c785efafd7c9052d4835aa9c8317c2c4ae21ad6",
-    "4eff26b56668ff24ab2e492429c83c523c6254364ae0c3777da0f62f8021c2af")
+    "1d2a8247710e6328e4e8458e4474a69ab0b615c95a4f295f324ccb9cb0033743",
+    "bc74c18a64da24183de43f7414cfc1db2f77fc9fc767836d25bfa888386f6096")
 # 10 000 rows: several of the trace writer's row chunks
 PINNED_SAMPLE_MULTI_CHUNK = (
-    "1b7e46d9aaca31958f017dd757169db21fba1262135b3c5c3c5365930e2007ab",
+    "23321b6bc88058044753e4e6a73887723c2dd600d9f724d11c827ab53a87082b",
     "7f4210ce6093b5eeced71e98a28b7c8e3a88bb7d6637fcbb2ac108df6d368650")
 
 

@@ -189,17 +189,18 @@ def test_full_drift_needs_vectorised_target():
         full_drift(t, 0.5, FullCentered(0.06, 5), 1.7)
 
 
-# full_drift(DW, x, FullCentered(0.06, K), 1.5), recorded before the drift
-# moved onto the shared riesz stencil; the values must not move by one bit
+# full_drift(DW, x, FullCentered(0.06, K), 1.5), recorded when
+# double_well_grad moved to product form (K=1 predates the shared riesz
+# stencil); the values must not move by one bit
 PINNED_DRIFT = {
     1: ("-0x1.29870a160ec9fp+1", "-0x1.be8a0f923a835p+0",
         "0x1.396fba56cf09ep+0", "0x1.c9ebe38db872fp+1"),
-    15: ("-0x1.21b1d95d2851ap+2", "-0x1.14cc562af3052p+6",
+    15: ("-0x1.21b1d95d28517p+2", "-0x1.14cc562af3052p+6",
          "0x1.023fc6e9ec3c2p+5", "0x1.12d1a96577a0cp+7"),
-    30: ("-0x1.bf6aa58619d51p+1", "-0x1.9db8decbf7586p+14",
-         "0x1.4fcb1a2831740p+13", "0x1.5a1bc6e79d6f8p+7"),
-    170: ("-0x1.ba6c3f04122bdp+1", "-0x1.dcdcb5282df96p+16",
-          "0x1.28453b71aa212p+16", "0x1.46d3e7879504dp+6"),
+    30: ("-0x1.bf6aa58619d4dp+1", "-0x1.9db8decbf7586p+14",
+         "0x1.4fcb1a2831740p+13", "0x1.5a1bc6e79d6f9p+7"),
+    170: ("-0x1.ba6c3f04122bap+1", "-0x1.dcdcb5282df38p+16",
+          "0x1.28453b71aa280p+16", "0x1.46d3e78795052p+6"),
 }
 
 
@@ -211,13 +212,13 @@ def test_full_drift_pinned_bits(K):
 
 
 # sha256 of ",".join(full_drift(DW, x, FullCentered(h, K), alpha).hex()) over
-# x in linspace(-4.5, 4.5, 201), recorded when full_drift evaluated one state
-# at a time; numpy's exp differs from math.exp on a few percent of inputs,
-# so a row-wise drift that let numpy take exp(ell*) would move these
+# x in linspace(-4.5, 4.5, 201), recorded when double_well_grad moved to
+# product form; numpy's exp differs from math.exp on a few percent of
+# inputs, so a row-wise drift that let numpy take exp(ell*) would move these
 PINNED_DRIFT_SWEEPS = {
-    (1.5, 0.06, 15): "dc11ed9c61bf37df094119f907253a82b21bf310a6eaf7992850078d6eb34e0a",
-    (1.7, 0.1, 5): "499df56c6145007c10128704818b72d20b95d2ca3c47581f1a9b43aeed64dca8",
-    (1.2, 0.03, 30): "e942fd10f63d5dad0ebf39d682bfa64af38bd7cb30168419dc9690f6c8add393",
+    (1.5, 0.06, 15): "9ad9b87d773392479a226e950cca5134e56ff09f0c1418158a4afdfb396ff03e",
+    (1.7, 0.1, 5): "8dad1c1b3c5c81253955328eaa6e0afba27fda9a51ee0bad12ca8f48915f6775",
+    (1.2, 0.03, 30): "84bfbe3d6c7f9210d1c075c5b3578e6882926912c179b272908fc3f0e0a0a704",
 }
 
 
