@@ -302,18 +302,28 @@ def kappa_report(target, alphas, h, K_star, grid_lo, grid_hi, grid_n) -> Experim
 
 def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
                        truth, grid=SCHEDULE_GRID) -> ExperimentReport:
-    """Best-schedule bias per alpha over the declared schedule grid."""
+    """Best-schedule bias per alpha over the declared schedule grid.
+
+    Every (alpha, schedule, repeat) chain runs in one run_ensemble call;
+    each cell's repeats take the seeds and initial states run_repeats
+    would give them, so a cell summarizes as its run_repeats does.
+    """
     inits = initial_states(init_policy, repeats)
+    seeds = repeat_seeds(seed, repeats)
+    alphas = sorted(set(alphas))
+    outcomes = run_ensemble(
+        [SamplerConfig(alpha=alpha, drift_spec=Simplified(), schedule=schedule,
+                       iterations=n_steps, seed=s, initial_state=x0)
+         for alpha in alphas for schedule in grid
+         for s, x0 in zip(seeds, inits)],
+        target, lambda x: x)
     rows = []
     cells = []
-    for alpha in sorted(set(alphas)):
+    for i, alpha in enumerate(alphas):
         best = None
-        for schedule in grid:
-            cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(),
-                                schedule=schedule, iterations=n_steps,
-                                seed=seed)
-            summary = run_repeats(cfg, target, lambda x: x, repeats, truth,
-                                  initial_states=inits)
+        for j, schedule in enumerate(grid):
+            k = (i * len(grid) + j) * repeats
+            summary = summarize_repeats(outcomes[k:k + repeats], truth)
             cells.append({"alpha": alpha, "schedule": schedule_label(schedule),
                           "mean_bias": summary.mean_abs_bias, "se": summary.se,
                           "failed_repeats": summary.n_failed})

@@ -3,12 +3,13 @@
 One step is X_n = X_{n-1} + eta_n * drift(X_{n-1}) + eta_n**(1/alpha) * L_n
 with L_n a standard SaS(alpha) vector, written once for 1-D and vector
 states; the weighted running average (1/H_N) sum_n eta_n g(X_n) estimates
-E_pi[g]. run_ensemble steps many 1-D full-drift chains in lockstep, each
-bitwise equal to its run_chain.
+E_pi[g]. A chain's noise is drawn a chunk of steps at a time. run_ensemble
+steps many 1-D chains in lockstep, each bitwise equal to its run_chain.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -18,7 +19,7 @@ import numpy as np
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
-from .stable import StableNoise, sample_sas_vector
+from .stable import StableNoise, sas_chunks
 from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _DIVERGENCE_BOUND = 1e12
+_NOISE_CHUNK = 1024  # steps of noise a chain holds at a time
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,12 @@ class Constant:
 Schedule = Union[Polynomial, Constant]
 
 
-def _eta_array(schedule: Schedule, n_steps: int) -> np.ndarray:
-    n = np.arange(1, n_steps + 1, dtype=float)
+def _eta_array(schedule: Schedule, n_steps: int, start: int = 0) -> np.ndarray:
+    """Step sizes of steps start+1 .. n_steps."""
+    n = np.arange(start + 1, n_steps + 1, dtype=float)
     if isinstance(schedule, Polynomial):
         return (schedule.a / n) ** schedule.b
-    return np.full(n_steps, schedule.eta)
+    return np.full(n.size, schedule.eta)
 
 
 @dataclass(frozen=True)
@@ -127,14 +130,18 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _increments(config: SamplerConfig, noise_rng, dim: int = 1):
-    """Step sizes eta_n and increments eta_n**(1/alpha) * L_n: the (N, dim) noise
-    block, drawn first (the draw's buffers peak) and scaled in place, no copy."""
-    N, noise = config.iterations, StableNoise(config.alpha, 1.0)
-    jumps = sample_sas_vector(noise, N * dim, noise_rng).reshape(N, dim)
-    etas = _eta_array(config.schedule, N)
-    jumps *= (etas ** (1.0 / config.alpha))[:, None]
-    return etas, jumps
+def _increments(config: SamplerConfig, noise_rng, dim: int, rows: int):
+    """Step sizes eta_n and increments eta_n**(1/alpha) * L_n, yielded as
+    (etas, jumps) for `rows` steps at a time, jumps of shape (steps, dim)
+    scaled in place: bit for bit the rows of the whole (N, dim) block of
+    SaS draws scaled by the whole etas column."""
+    N, alpha = config.iterations, config.alpha
+    draws = sas_chunks(StableNoise(alpha, 1.0), N * dim, noise_rng, rows * dim)
+    for lo, L in zip(range(0, N, rows), draws):
+        etas = _eta_array(config.schedule, min(lo + rows, N), lo)
+        jumps = L.reshape(etas.size, dim)
+        jumps *= (etas ** (1.0 / alpha))[:, None]
+        yield etas, jumps
 
 
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
@@ -163,10 +170,11 @@ def run_chain(config: SamplerConfig, target: Target,
               snapshot_estimates: bool = False) -> Trace:
     """Run the configured number of steps and accumulate the estimators.
 
-    The noise for the whole chain is drawn from the noise substream as one
-    block up front (identical in law to per-step draws). Estimator
-    accumulators update on every step with the post-update state; the
-    record stride only thins the stored trajectory.
+    The noise is drawn from the noise substream _NOISE_CHUNK steps at a
+    time (identical in law to per-step draws, and bit for bit the rows of
+    one whole-chain block). Estimator accumulators update on every step
+    with the post-update state; the record stride only thins the stored
+    trajectory, which is written into an array sized up front.
     """
     if config.minibatch_size is not None and target.data_size <= 0:
         raise ValueError("minibatch configured but target has no data terms")
@@ -176,40 +184,47 @@ def run_chain(config: SamplerConfig, target: Target,
         raise ValueError(f"1-D target needs a scalar initial state, got {x.size} values")
     gs = dict(test_functions or {})
     noise_rng, batch_rng = _streams(config.seed)
-    etas, jumps = _increments(config, noise_rng, D)
     drift = _drift_fn(config, target, batch_rng)
+    iterations = np.arange(stride, N + 1, stride)
+    states, rec_etas = np.empty((iterations.size, D)), np.empty(iterations.size)
+    rec_eta = memoryview(rec_etas)
     # a Python float step costs a fraction of a size-1 array step; iterating
-    # a memoryview yields one Python float at a time, with no list held
+    # a memoryview yields one Python float at a time, and writing one into
+    # a memoryview stores it with no float object kept
     if D == 1:
-        x, jumps, size = x.item(), memoryview(jumps[:, 0]), abs
+        x, rec, size = x.item(), memoryview(states[:, 0]), abs
+        rows = lambda jumps: memoryview(jumps[:, 0])
     else:
-        x, size = x.reshape(D), lambda v: np.abs(v).max()  # NaN propagates
+        x, rec, rows = x.reshape(D), states, iter
+        size = lambda v: np.abs(v).max()  # NaN propagates
 
-    rec_x, snapshots = [], []
+    snapshots, steps = [], itertools.count(1)
     acc = {name: 0.0 for name in gs}
     H = 0.0
     try:
-        for n, eta, jump in zip(range(1, N + 1), memoryview(etas), jumps):
-            x = x + eta * drift(x) + jump
-            if not size(x) <= _DIVERGENCE_BOUND:  # NaN and inf fail it too
-                raise ChainFailure(config.seed, n, x, "divergence")
-            H += eta
-            for name, g in gs.items():
-                acc[name] = acc[name] + eta * g(x)
-            if n % stride == 0:
-                rec_x.append(x)
-                if snapshot_estimates:
-                    snapshots.append((n, {k: v / H for k, v in acc.items()}))
+        for etas, jumps in _increments(config, noise_rng, D, _NOISE_CHUNK):
+            # steps last: zip stops on the chunk's end before taking a count
+            for eta, jump, n in zip(memoryview(etas), rows(jumps), steps):
+                x = x + eta * drift(x) + jump
+                if not size(x) <= _DIVERGENCE_BOUND:  # NaN and inf fail it too
+                    raise ChainFailure(config.seed, n, x, "divergence")
+                H += eta
+                for name, g in gs.items():
+                    acc[name] = acc[name] + eta * g(x)
+                if n % stride == 0:
+                    i = n // stride - 1
+                    rec[i], rec_eta[i] = x, eta
+                    if snapshot_estimates:
+                        snapshots.append((n, {k: v / H for k, v in acc.items()}))
     except ArithmeticError as e:
         # numerical failure (drift overflow, float overflow, division by
         # zero) is a chain outcome; anything else is a programming error
         raise ChainFailure(config.seed, n, x, e) from e
 
-    iterations = np.arange(stride, N + 1, stride)
     return Trace(
         iterations=iterations,
-        states=np.asarray(rec_x, dtype=float).reshape(iterations.size, D),
-        etas=etas[iterations - 1],
+        states=states,
+        etas=rec_etas,
         H_N=H,
         estimates={k: v / H for k, v in acc.items()},
         final_state=np.atleast_1d(np.asarray(x, dtype=float)),
@@ -276,53 +291,84 @@ def run_repeats(config: SamplerConfig, target: Target, g: Callable,
 
 def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                  g: Callable) -> list:
-    """One-dimensional full-drift chains in lockstep, one per config.
+    """One-dimensional chains in lockstep, one per config.
 
-    The configs share alpha < 2, K, schedule and iterations, and differ in
-    seed, h and initial state. Entry r is the estimate of g that
-    run_chain(configs[r], target, {"g": g}) returns, bit for bit, or the
-    ChainFailure it raises (same step, state and cause). Each step
-    evaluates every chain's drift on one (R, 2K+1) stencil table; g and
-    the target's potential and gradient must act elementwise on arrays.
+    The configs share iterations, and either all take the simplified drift
+    or all take the full drift with one alpha < 2 and one K; each has its
+    own seed, schedule and initial state, and its own alpha or h. Entry r
+    is the estimate of g that run_chain(configs[r], target, {"g": g})
+    returns, bit for bit, or the ChainFailure it raises (same step, state
+    and cause). Each step evaluates every chain's drift at once, as
+    -c_alpha * U'(x) on the (R,) state or on one (R, 2K+1) stencil table;
+    g and the target's potential and gradient must act elementwise on
+    arrays, rounding as they do on Python floats. Each chain's noise comes
+    _NOISE_CHUNK steps at a time from its own stream.
     """
     if not configs:
         return []
     c0 = configs[0]
-    if (target.dim != 1 or c0.alpha == 2.0
-            or not all(isinstance(c.drift_spec, FullCentered) for c in configs)
-            or len({(c.alpha, c.drift_spec.K, c.schedule, c.iterations)
-                    for c in configs}) != 1):
-        raise ValueError("an ensemble runs 1-D full-drift chains that share "
-                         "alpha < 2, K, schedule and iterations")
-    N, alpha = c0.iterations, c0.alpha
-    sts = [build_stencil(alpha - 2.0, c.drift_spec.h, c.drift_spec.K)
-           for c in configs]
-    steps = np.stack([st.offsets * st.h for st in sts])
-    weights = np.stack([st.weights for st in sts])
-    h_gamma = np.array([st.h**st.gamma for st in sts])
+    simplified = all(isinstance(c.drift_spec, Simplified) for c in configs)
+    full = (c0.alpha < 2.0
+            and all(isinstance(c.drift_spec, FullCentered) for c in configs)
+            and len({(c.alpha, c.drift_spec.K) for c in configs}) == 1)
+    if (target.dim != 1 or not (simplified or full)
+            or len({c.iterations for c in configs}) != 1
+            or any(c.minibatch_size is not None for c in configs)):
+        raise ValueError("an ensemble runs 1-D chains that share iterations: "
+                         "simplified-drift chains, or full-drift chains that "
+                         "share alpha < 2 and K")
+    N, R = c0.iterations, len(configs)
+    if simplified:
+        neg_ca = np.array([-c_alpha(c.alpha) for c in configs])
+        drift = lambda x: (neg_ca * target.gradient(x), None)
+    else:
+        sts = [build_stencil(c0.alpha - 2.0, c.drift_spec.h, c0.drift_spec.K)
+               for c in configs]
+        steps = np.stack([st.offsets * st.h for st in sts])
+        weights = np.stack([st.weights for st in sts])
+        h_gamma = np.array([st.h**st.gamma for st in sts])
+        drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
-    jumps = np.empty((N, len(configs)))
-    for r, c in enumerate(configs):  # column by column: no second block
-        etas, jumps[:, r:r + 1] = _increments(c, _streams(c.seed)[0])
-    out, live = [None] * len(configs), np.ones(len(configs), dtype=bool)
-    acc, H = np.zeros(len(configs)), 0.0
-    for n, eta, jump in zip(range(1, N + 1), memoryview(etas), jumps):
-        if not live.any():
-            break
-        b, ell_star = full_drift_rows(target, x, steps, weights, h_gamma)
-        for r in np.flatnonzero(live & ~np.isfinite(b)).tolist():
-            out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
-                                  DriftOverflowError(float(x[r]), float(ell_star[r])))
-        live &= np.isfinite(b)
-        x = x + eta * b + jump
-        diverged = live & ~(np.abs(x) <= _DIVERGENCE_BOUND)
-        for r in np.flatnonzero(diverged).tolist():
-            out[r] = ChainFailure(configs[r].seed, n, float(x[r]), "divergence")
-        live &= ~diverged
-        x[~live] = 0.0  # a failed chain idles at a finite state, unread
-        H += eta
-        acc = acc + eta * g(x)
+    streams = [_increments(c, _streams(c.seed)[0], 1, _NOISE_CHUNK)
+               for c in configs]
+    etas, jumps = np.zeros((_NOISE_CHUNK, R)), np.zeros((_NOISE_CHUNK, R))
+    out, live = [None] * R, np.ones(R, dtype=bool)
+    acc, H, n = np.zeros(R), np.zeros(R), 0
+    # a failing row's overflow, inf or NaN is its outcome, recorded below
+    with np.errstate(all="ignore"):
+        for lo in range(0, N, _NOISE_CHUNK):
+            if not live.any():
+                break
+            m = min(_NOISE_CHUNK, N - lo)
+            # a failed row draws no more noise and idles on stale finite
+            # columns at a finite state, unread
+            for r in np.flatnonzero(live).tolist():
+                eta_r, jump_r = next(streams[r])
+                etas[:m, r], jumps[:m, r] = eta_r, jump_r[:, 0]
+            for eta, jump in zip(etas[:m], jumps[:m]):
+                n += 1
+                b, ell_star = drift(x)
+                if ell_star is not None and not np.isfinite(b).all():
+                    over = live & ~np.isfinite(b)
+                    for r in np.flatnonzero(over).tolist():
+                        out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
+                                              DriftOverflowError(float(x[r]),
+                                                                 float(ell_star[r])))
+                    live &= ~over
+                b *= eta  # x + eta * b + jump, in b's fresh buffer
+                b += x
+                b += jump
+                x = b
+                if not np.abs(x).max() <= _DIVERGENCE_BOUND:
+                    ok = np.abs(x) <= _DIVERGENCE_BOUND
+                    for r in np.flatnonzero(live & ~ok).tolist():
+                        out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
+                                              "divergence")
+                    live &= ok
+                    x[~live] = 0.0
+                H += eta
+                acc += eta * g(x)
     estimates = (acc / H).tolist()
     for r in np.flatnonzero(live).tolist():
         out[r] = estimates[r]

@@ -7,11 +7,12 @@ and large jumps appear with polynomial tail probability.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StableNoise", "sample_sas_vector"]
+__all__ = ["StableNoise", "sample_sas_vector", "sas_chunks"]
 
 # V draws this close to +-pi/2 would underflow cos(V); redrawing keeps the
 # stream deterministic and changes the law by a ~1e-10 probability event.
@@ -68,14 +69,18 @@ def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
     return V
 
 
+def _on_edge(V: np.ndarray) -> np.ndarray:
+    # two comparisons rather than np.abs(V) > _V_EDGE: no float temporary
+    return (V > _V_EDGE) | (V < -_V_EDGE)
+
+
 def _draw_vw(rng: np.random.Generator, size: int):
     V = rng.uniform(-np.pi / 2, np.pi / 2, size)
     W = rng.standard_exponential(size)
-    # two comparisons rather than np.abs(V) > _V_EDGE: no float temporary
-    bad = (V > _V_EDGE) | (V < -_V_EDGE)
+    bad = _on_edge(V)
     while bad.any():
         V[bad] = rng.uniform(-np.pi / 2, np.pi / 2, int(bad.sum()))
-        bad = (V > _V_EDGE) | (V < -_V_EDGE)
+        bad = _on_edge(V)
     return V, W
 
 
@@ -87,3 +92,34 @@ def sample_sas_vector(
         raise ValueError(f"dim must be >= 1, got {dim}")
     V, W = _draw_vw(rng, dim)
     return _transform(noise, V, W)
+
+
+def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
+               chunk: int):
+    """sample_sas_vector(noise, size, rng) in consecutive pieces of at most
+    `chunk` draws, bit for bit, with one piece drawn at a time.
+
+    The whole-block draw takes all of V, then all of W, from rng. Here V
+    comes off rng a piece at a time and W off a copy of its bit generator
+    advanced past the `size` V draws (one 64-bit output per uniform, as
+    PCG64 counts them). An edge V is redrawn after all of W, so the piece
+    that holds the first one, and every piece after it, comes from the
+    whole block, drawn from rng reset to its start state (about 1e-10 per
+    draw).
+    """
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
+    start = rng.bit_generator.state
+    bits = copy.deepcopy(rng.bit_generator)
+    bits.advance(size)
+    w_rng, whole = np.random.Generator(bits), None
+    for lo in range(0, size, chunk):
+        m = min(chunk, size - lo)
+        if whole is None:
+            V = rng.uniform(-np.pi / 2, np.pi / 2, m)
+            if not _on_edge(V).any():
+                yield _transform(noise, V, w_rng.standard_exponential(m))
+                continue
+            rng.bit_generator.state = start
+            whole = sample_sas_vector(noise, size, rng)
+        yield whole[lo:lo + m]

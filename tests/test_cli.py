@@ -141,6 +141,28 @@ def test_alpha_sweep_single_cell_matches_run_repeats(m_star):
     assert rep.metadata["schedule_grid"] == [schedule_label(sched)]
 
 
+def test_alpha_sweep_is_one_ensemble(monkeypatch, m_star):
+    # every alpha, schedule and repeat of the sweep runs in one lockstep
+    # run_ensemble call, and no cell runs on its own
+    calls = []
+
+    def counting(cfgs, target, g):
+        calls.append((len(cfgs), {(c.alpha, c.schedule) for c in cfgs}))
+        return run_ensemble(cfgs, target, g)
+
+    def per_cell(*args, **kwargs):
+        raise AssertionError("a sweep cell ran on its own")
+
+    monkeypatch.setattr(cli, "run_ensemble", counting)
+    monkeypatch.setattr(cli, "run_repeats", per_cell)
+    monkeypatch.setattr(cli, "run_chain", per_cell)
+    grid = (Constant(0.002), Polynomial(1e-5, 0.6))
+    rep = alpha_sweep_report(double_well_target(), (2.0, 1.5, 1.7), 40, 3, 5,
+                             "wells", m_star, grid=grid)
+    assert calls == [(18, {(a, s) for a in (1.5, 1.7, 2.0) for s in grid})]
+    assert [row[0] for row in rep.rows] == [1.5, 1.7, 2.0]
+
+
 def test_bias_sweep_single_cell_single_row(m_star):
     rep = bias_sweep_report(double_well_target(), (1.7,), (0.06,), (5,),
                             Polynomial(1e-7, 0.6), 200, 2, 0, "wells", m_star)

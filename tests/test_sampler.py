@@ -2,6 +2,9 @@
 stream discipline, and failure reporting."""
 
 import math
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from flmc import sampler, stable
 from flmc.drift import DriftOverflowError, FullCentered, Simplified, full_drift
 from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
-                          _eta_array, repeat_seeds, run_chain, run_ensemble,
-                          run_repeats)
+                          _eta_array, _increments, _streams, repeat_seeds,
+                          run_chain, run_ensemble, run_repeats)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
                           gaussian_target, sg_gradient, synthetic_mf_target)
@@ -442,6 +446,160 @@ def test_ensemble_validation():
     with pytest.raises(ValueError, match="ensemble"):
         run_ensemble([gauss], DW, lambda x: x)
     assert run_ensemble([], DW, lambda x: x) == []
+
+
+# diverging: eta * U'' near a well is 3 to 10, well past 2
+_DIVERGING = st.builds(Constant, st.sampled_from((0.3, 1.0)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains=st.lists(st.tuples(st.one_of(st.floats(1.05, 1.99), st.just(2.0)),
+                                 st.one_of(_SCHEDULES, _DIVERGING),
+                                 st.integers(0, 2**32 - 1),
+                                 st.one_of(st.floats(-4.5, 4.5),
+                                           st.sampled_from((-1e200, 1e200)))),
+                       min_size=1, max_size=8),
+       iterations=st.integers(1, 60), chunk=st.sampled_from((1, 7, 1024)))
+def test_simplified_ensemble_equals_run_chain(chains, iterations, chunk):
+    # each row has its own alpha, schedule, seed and start; a start of
+    # +-1e200 overflows U' to inf on the first step, as on a Python float
+    with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+        _ensemble_matches_chains(
+            [SamplerConfig(alpha=alpha, drift_spec=Simplified(),
+                           schedule=schedule, iterations=iterations, seed=seed,
+                           initial_state=x0)
+             for alpha, schedule, seed, x0 in chains])
+
+
+def test_ensembles_match_chains_across_noise_chunks():
+    # 2 100 steps cross two chunk boundaries; rows diverge in the first
+    # chunk while the rest run on, and full-drift rows may differ in
+    # schedule as well as h
+    simplified = [SamplerConfig(alpha=alpha, drift_spec=Simplified(),
+                                schedule=schedule, iterations=2100, seed=seed,
+                                initial_state=x0)
+                  for alpha in (1.3, 1.7, 2.0)
+                  for schedule in (Constant(0.002), Polynomial(1e-5, 0.6),
+                                   Constant(1.0))
+                  for seed, x0 in ((0, -3.6), (1, 3.6))]
+    keys = _ensemble_matches_chains(simplified)
+    assert {k[0] for k in keys} == {"ok", "failed"}
+    assert all(k[2] < 1024 for k in keys if k[0] == "failed")
+    full = [SamplerConfig(alpha=1.6, drift_spec=FullCentered(h, 5),
+                          schedule=schedule, iterations=2100, seed=seed,
+                          initial_state=-3.6)
+            for h in (0.06, 0.1) for schedule in (Constant(0.002),
+                                                  Polynomial(1e-7, 0.6))
+            for seed in (2, 3)]
+    _ensemble_matches_chains(full)
+
+
+def test_ensemble_noise_is_held_a_chunk_at_a_time():
+    # 50 chains x 50 000 steps: one whole noise block is 20 MB, and its W
+    # as much again while drawn; the ensemble holds a chunk per chain
+    cfgs = [SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                          schedule=Constant(0.002), iterations=50_000, seed=s,
+                          initial_state=-3.6) for s in range(50)]
+    tracemalloc.start()
+    try:
+        run_ensemble(cfgs, DW, lambda x: x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+def test_trajectory_is_recorded_into_arrays():
+    # a stride-1 1-D chain of 50 000 steps keeps 1.2 MB (states, iterations,
+    # etas); a list of recorded Python floats, then its array, took over
+    # 4 MB, and the chain's whole noise block 0.8 MB more
+    cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                        schedule=Constant(0.002), iterations=50_000, seed=0,
+                        initial_state=-3.6)
+    run_chain(replace(cfg, iterations=10), DW)  # first-call imports and caches
+    tracemalloc.start()
+    try:
+        trace = run_chain(cfg, DW, {"x": lambda x: x})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = trace.states.nbytes + trace.iterations.nbytes + trace.etas.nbytes
+    assert kept == 1_200_000
+    assert peak < 1.5 * kept
+
+
+# ---------------------------------------------------------------------------
+# chunked noise stream
+# ---------------------------------------------------------------------------
+
+def _whole_block(config, dim):
+    # the increments as they were drawn before chunking: the whole (N, dim)
+    # block of SaS draws, scaled in place by the whole etas column
+    N, noise_rng = config.iterations, _streams(config.seed)[0]
+    jumps = sample_sas_vector(StableNoise(config.alpha, 1.0), N * dim,
+                              noise_rng).reshape(N, dim)
+    etas = _eta_array(config.schedule, N)
+    jumps *= (etas ** (1.0 / config.alpha))[:, None]
+    return etas, jumps
+
+
+def _chunked_block(config, dim, rows):
+    chunks = list(_increments(config, _streams(config.seed)[0], dim, rows))
+    N = config.iterations
+    assert [e.size for e, _ in chunks] == [min(rows, N - lo)
+                                           for lo in range(0, N, rows)]
+    assert all(j.shape == (e.size, dim) for e, j in chunks)
+    return (np.concatenate([e for e, _ in chunks]),
+            np.concatenate([j for _, j in chunks]))
+
+
+def _assert_same_blocks(config, dim, rows):
+    etas, jumps = _chunked_block(config, dim, rows)
+    want_etas, want_jumps = _whole_block(config, dim)
+    assert etas.tobytes() == want_etas.tobytes()
+    assert jumps.tobytes() == want_jumps.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(alpha=st.one_of(st.floats(1.05, 1.99), st.just(2.0)), schedule=_SCHEDULES,
+       iterations=st.integers(1, 400), dim=st.sampled_from((1, 3)),
+       seed=st.integers(0, 2**32 - 1),
+       rows=st.sampled_from(("1", "7", "N-1", "N", "N+1")))
+def test_chunked_increments_equal_whole_block(alpha, schedule, iterations, dim,
+                                             seed, rows):
+    rows = {"1": 1, "7": 7, "N-1": max(1, iterations - 1), "N": iterations,
+            "N+1": iterations + 1}[rows]
+    _assert_same_blocks(_cfg(alpha=alpha, schedule=schedule,
+                             iterations=iterations, seed=seed), dim, rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 500])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_chunked_increments_edge_fallback(monkeypatch, rows, dim):
+    # an edge of 1.0 puts about a third of V on the edge: the stream falls
+    # back to the whole block, whose redraws come after all of W
+    monkeypatch.setattr(stable, "_V_EDGE", 1.0)
+    _assert_same_blocks(_cfg(iterations=500, seed=3), dim, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.tuples(st.sampled_from(sorted({"double-well", "gaussian-3d", "mf"})),
+                      st.integers(0, 2**32 - 1), st.integers(1, 90),
+                      st.integers(1, 20), st.sampled_from((1, 7, 32))))
+def test_run_chain_chunks_move_no_bit(case):
+    # run_chain against the whole-block reference with the chain's noise
+    # split at 1, 7 or 32 steps
+    name, seed, iterations, stride, chunk = case
+    target = _REFERENCE_TARGETS[name]
+    cfg = SamplerConfig(alpha=1.6, drift_spec=Simplified(),
+                        schedule=Polynomial(1e-3, 0.6), iterations=iterations,
+                        seed=seed, initial_state=np.zeros(target.dim)
+                        if target.dim > 1 else -3.6, record_stride=stride,
+                        minibatch_size=4 if name == "mf" else None)
+    gs = {"x": lambda x: x}
+    with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+        got = _chain_run(cfg, target, gs, True)
+    assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, gs, True))
 
 
 def test_full_drift_needs_one_dimensional_target():

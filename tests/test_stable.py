@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from flmc import stable
-from flmc.stable import StableNoise, sample_sas_vector
+from flmc.stable import StableNoise, sample_sas_vector, sas_chunks
 
 
 def test_parameter_validation():
@@ -167,3 +167,45 @@ def test_edge_redraw_matches_abs_form(monkeypatch):
     x = sample_sas_vector(noise, 10_001, np.random.default_rng(3))
     ref = _reference_draws(noise, 10_001, np.random.default_rng(3))
     assert x.tobytes() == ref.tobytes()
+
+
+def _pieces(noise, size, seed, chunk):
+    pieces = list(sas_chunks(noise, size, np.random.default_rng(seed), chunk))
+    assert [p.size for p in pieces] == [min(chunk, size - lo)
+                                        for lo in range(0, size, chunk)]
+    return np.concatenate(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.floats(1.05, 1.99), st.just(2.0)),
+       size=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from(("1", "7", "size-1", "size", "size+1")))
+def test_chunks_equal_whole_block(alpha, size, seed, chunk):
+    # V off the stream and W off an advanced copy of its bit generator
+    # rebuild the whole block's V-then-W draws piece by piece
+    chunk = {"1": 1, "7": 7, "size-1": max(1, size - 1), "size": size,
+             "size+1": size + 1}[chunk]
+    noise = StableNoise(alpha, 1.3)
+    whole = _reference_draws(noise, size, np.random.default_rng(seed))
+    assert _pieces(noise, size, seed, chunk).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("edge", [1.0, 1.5])
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_chunks_fall_back_to_whole_block_at_an_edge(monkeypatch, edge, chunk):
+    # an edge V is redrawn after all of W, so the piece that holds the
+    # first one switches to the whole block; the pieces before it were
+    # drawn piece by piece and must agree with it too
+    monkeypatch.setattr(stable, "_V_EDGE", edge)
+    whole_draws = []
+    monkeypatch.setattr(stable, "sample_sas_vector",
+                        lambda *a: whole_draws.append(a) or sample_sas_vector(*a))
+    noise, size, seed = StableNoise(1.5, 1.3), 1000, 11
+    V = np.random.default_rng(seed).uniform(-np.pi / 2, np.pi / 2, size)
+    first_edge = int(np.argmax(np.abs(V) > edge))
+    got = _pieces(noise, size, seed, chunk)
+    assert got.tobytes() == _reference_draws(
+        noise, size, np.random.default_rng(seed)).tobytes()
+    assert len(whole_draws) == 1
+    if chunk < 1000 and edge == 1.5:
+        assert first_edge >= chunk  # some pieces came before the fallback
