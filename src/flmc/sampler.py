@@ -130,12 +130,12 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _increments(config: SamplerConfig, noise_rng, dim: int, rows: int):
+def _increments(config: SamplerConfig, noise_rng, dim: int = 1):
     """Step sizes eta_n and increments eta_n**(1/alpha) * L_n, yielded as
-    (etas, jumps) for `rows` steps at a time, jumps of shape (steps, dim)
-    scaled in place: bit for bit the rows of the whole (N, dim) block of
-    SaS draws scaled by the whole etas column."""
-    N, alpha = config.iterations, config.alpha
+    (etas, jumps) for _NOISE_CHUNK steps at a time, jumps of shape
+    (steps, dim) scaled in place: bit for bit the rows of the whole
+    (N, dim) block of SaS draws scaled by the whole etas column."""
+    N, alpha, rows = config.iterations, config.alpha, _NOISE_CHUNK
     draws = sas_chunks(StableNoise(alpha, 1.0), N * dim, noise_rng, rows * dim)
     for lo, L in zip(range(0, N, rows), draws):
         etas = _eta_array(config.schedule, min(lo + rows, N), lo)
@@ -202,7 +202,7 @@ def run_chain(config: SamplerConfig, target: Target,
     acc = {name: 0.0 for name in gs}
     H = 0.0
     try:
-        for etas, jumps in _increments(config, noise_rng, D, _NOISE_CHUNK):
+        for etas, jumps in _increments(config, noise_rng, D):
             # steps last: zip stops on the chunk's end before taking a count
             for eta, jump, n in zip(memoryview(etas), rows(jumps), steps):
                 x = x + eta * drift(x) + jump
@@ -330,8 +330,7 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
         drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
-    streams = [_increments(c, _streams(c.seed)[0], 1, _NOISE_CHUNK)
-               for c in configs]
+    streams = [_increments(c, _streams(c.seed)[0]) for c in configs]
     etas, jumps = np.zeros((_NOISE_CHUNK, R)), np.zeros((_NOISE_CHUNK, R))
     out, live = [None] * R, np.ones(R, dtype=bool)
     acc, H, n = np.zeros(R), np.zeros(R), 0

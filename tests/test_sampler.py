@@ -544,7 +544,8 @@ def _whole_block(config, dim):
 
 
 def _chunked_block(config, dim, rows):
-    chunks = list(_increments(config, _streams(config.seed)[0], dim, rows))
+    with mock.patch.object(sampler, "_NOISE_CHUNK", rows):
+        chunks = list(_increments(config, _streams(config.seed)[0], dim))
     N = config.iterations
     assert [e.size for e, _ in chunks] == [min(rows, N - lo)
                                            for lo in range(0, N, rows)]
