@@ -80,9 +80,9 @@ def double_well(x):
 def double_well_grad(x):
     """U'(x) = (4x^3 - 0.06x^2 - 52.04x + 0.5)/10.
 
-    In product (Horner) form: only + and *, which round the same on a
-    Python float and on every element of an array, where array x**3 does
-    not always match the scalar power.
+    In product (Horner) form: +, * and / round the same on a Python float
+    and on each element of an array, where array x**3 does not always
+    match the scalar power.
     """
     return (((4.0 * x - 0.06) * x - 52.04) * x + 0.5) / 10.0
 
