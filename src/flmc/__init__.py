@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .drift import FullCentered, Simplified, full_drift, kappa
 from .riesz import build_stencil, c_alpha, coeff, truncated_centered_difference
 from .sampler import (Constant, Polynomial, SamplerConfig, Trace, run_chain,
-                      run_ensemble, run_repeats)
+                      run_ensemble)
 from .stable import StableNoise, sample_sas_vector
 from .targets import (Minibatch, Target, double_well_target, gaussian_target,
                       sg_gradient, synthetic_mf_target)
@@ -24,5 +24,5 @@ __all__ = [
     "synthetic_mf_target", "sg_gradient",
     "Simplified", "FullCentered", "full_drift", "kappa",
     "SamplerConfig", "Polynomial", "Constant", "Trace",
-    "run_chain", "run_repeats", "run_ensemble",
+    "run_chain", "run_ensemble",
 ]

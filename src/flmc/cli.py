@@ -27,8 +27,7 @@ from .oracle import (QuadratureError, QuadratureSpec, SupportError,
                      quadrature_expectation)
 from .riesz import NodeEvaluationError
 from .sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
-                      repeat_seeds, run_chain, run_ensemble, run_repeats,
-                      summarize_repeats)
+                      repeat_seeds, run_chain, run_ensemble, summarize_repeats)
 from .targets import (double_well_stationary_points, double_well_target,
                       gaussian_target, synthetic_mf_target)
 
@@ -115,8 +114,6 @@ def parse_list(text: str, flag: str, kind=float):
         vals = tuple(kind(v) for v in text.split(","))
     except ValueError as e:
         raise UsageError(f"bad {flag} list '{text}': {e}") from None
-    if not vals:
-        raise UsageError(f"empty {flag} list")
     return vals
 
 
@@ -227,6 +224,23 @@ def _outpath(args, default_name: str) -> str:
 # experiment bodies (also the library-level entry points used by tests)
 # ---------------------------------------------------------------------------
 
+def _repeat_cells(cells, target, repeats, seed, init_policy, truth):
+    """Bias summary of each cell, a SamplerConfig run as independent repeats.
+
+    Repeat r of every cell runs at seed repeat_seeds(seed, repeats)[r], in
+    place of the cell's own, from the init_policy's r-th start. All the
+    cells' repeats step in one run_ensemble call, and each cell summarizes
+    as the same chains run one at a time by run_chain would.
+    """
+    inits = initial_states(init_policy, repeats)
+    seeds = repeat_seeds(seed, repeats)
+    outcomes = run_ensemble([replace(cell, seed=s, initial_state=x0)
+                             for cell in cells for s, x0 in zip(seeds, inits)],
+                            target, lambda x: x)
+    return [summarize_repeats(outcomes[k:k + repeats], truth)
+            for k in range(0, len(outcomes), repeats)]
+
+
 def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
                       repeats, seed, init_policy, truth) -> ExperimentReport:
     """Mean absolute bias of the full-drift chain over an (alpha, h, K) grid.
@@ -234,11 +248,10 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
     Cells share the base seed, so cells differing only in (h, K) see the
     same noise streams; failed repeats are excluded and counted per cell.
     Each (alpha, K) with alpha < 2 runs every h and repeat as one
-    run_ensemble call. At alpha = 2 the drift is -U'(x) whatever h and K,
-    so one run_repeats of the first cell serves every (2.0, h, K) cell.
+    run_ensemble call. At alpha = 2 the full drift is -U'(x) whatever h
+    and K, which is the simplified drift, so one simplified-drift ensemble
+    serves every (2.0, h, K) cell.
     """
-    inits = initial_states(init_policy, repeats)
-    seeds = repeat_seeds(seed, repeats)
     hs, Ks = sorted(set(h_values)), sorted(set(K_values))
     cells = {}  # (alpha, h, K) -> summary; the rows are its sorted items
     for alpha in sorted(set(alphas)):
@@ -246,19 +259,15 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
             cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
                                   schedule=schedule, iterations=n_steps,
                                   seed=seed) for h in hs]
-            if alpha == 2.0:
-                if K == Ks[0]:
-                    gaussian = run_repeats(cfgs[0], target, lambda x: x,
-                                           repeats, truth, initial_states=inits)
-                cells.update({(alpha, h, K): gaussian for h in hs})
-                continue
-            outcomes = run_ensemble(
-                [replace(cfg, seed=s, initial_state=x0)
-                 for cfg in cfgs for s, x0 in zip(seeds, inits)],
-                target, lambda x: x)
-            cells.update({(alpha, h, K): summarize_repeats(
-                outcomes[j * repeats:(j + 1) * repeats], truth)
-                for j, h in enumerate(hs)})
+            if alpha < 2.0:
+                cells.update(zip([(alpha, h, K) for h in hs], _repeat_cells(
+                    cfgs, target, repeats, seed, init_policy, truth)))
+            elif K == Ks[0]:
+                # cfgs validated h and K before the drift is swapped
+                gaussian, = _repeat_cells(
+                    [replace(cfgs[0], drift_spec=Simplified())], target,
+                    repeats, seed, init_policy, truth)
+                cells.update({(alpha, h, k): gaussian for h in hs for k in Ks})
     rows = []
     for (alpha, h, K), summary in sorted(cells.items()):
         if summary.n_failed:
@@ -304,26 +313,21 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
                        truth, grid=SCHEDULE_GRID) -> ExperimentReport:
     """Best-schedule bias per alpha over the declared schedule grid.
 
-    Every (alpha, schedule, repeat) chain runs in one run_ensemble call;
-    each cell's repeats take the seeds and initial states run_repeats
-    would give them, so a cell summarizes as its run_repeats does.
+    Every (alpha, schedule) cell is a simplified-drift chain run as
+    independent repeats, and all of them run in one run_ensemble call.
     """
-    inits = initial_states(init_policy, repeats)
-    seeds = repeat_seeds(seed, repeats)
     alphas = sorted(set(alphas))
-    outcomes = run_ensemble(
+    summaries = iter(_repeat_cells(
         [SamplerConfig(alpha=alpha, drift_spec=Simplified(), schedule=schedule,
-                       iterations=n_steps, seed=s, initial_state=x0)
-         for alpha in alphas for schedule in grid
-         for s, x0 in zip(seeds, inits)],
-        target, lambda x: x)
+                       iterations=n_steps, seed=seed)
+         for alpha in alphas for schedule in grid],
+        target, repeats, seed, init_policy, truth))
     rows = []
     cells = []
-    for i, alpha in enumerate(alphas):
+    for alpha in alphas:
         best = None
-        for j, schedule in enumerate(grid):
-            k = (i * len(grid) + j) * repeats
-            summary = summarize_repeats(outcomes[k:k + repeats], truth)
+        for schedule in grid:
+            summary = next(summaries)
             cells.append({"alpha": alpha, "schedule": schedule_label(schedule),
                           "mean_bias": summary.mean_abs_bias, "se": summary.se,
                           "failed_repeats": summary.n_failed})

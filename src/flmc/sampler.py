@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "Trace",
     "ChainFailure",
     "run_chain",
-    "run_repeats",
     "run_ensemble",
     "summarize_repeats",
     "RepeatSummary",
@@ -262,31 +261,6 @@ def summarize_repeats(outcomes: Sequence, truth: float) -> RepeatSummary:
         bias, se = math.nan, math.nan
     return RepeatSummary(estimates=estimates, mean_abs_bias=bias, se=se,
                          failures=failures, n_failed=len(failures))
-
-
-def run_repeats(config: SamplerConfig, target: Target, g: Callable,
-                repeats: int, truth: float,
-                initial_states: Optional[Sequence] = None) -> RepeatSummary:
-    """Independent repeats of one configuration, summarized against a truth.
-
-    Seeds derive deterministically from config.seed. Failed repeats are
-    excluded from the summary and reported with a count. initial_states
-    optionally overrides the configured initial state per repeat. Only the
-    estimates are kept, so no trajectory is recorded.
-    """
-    seeds = repeat_seeds(config.seed, repeats)
-    if initial_states is not None and len(initial_states) != repeats:
-        raise ValueError("initial_states must have one entry per repeat")
-    outcomes = []
-    for r, seed in enumerate(seeds):
-        cfg = replace(config, seed=seed, record_stride=config.iterations)
-        if initial_states is not None:
-            cfg = replace(cfg, initial_state=initial_states[r])
-        try:
-            outcomes.append(run_chain(cfg, target, {"g": g}).estimates["g"])
-        except ChainFailure as e:
-            outcomes.append(e)
-    return summarize_repeats(outcomes, truth)
 
 
 def run_ensemble(configs: Sequence[SamplerConfig], target: Target,

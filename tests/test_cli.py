@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flmc import cli
@@ -21,9 +21,9 @@ from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
 from flmc.drift import FullCentered, Simplified
 from flmc.oracle import SupportError
 from flmc.sampler import (Constant, Polynomial, SamplerConfig, run_chain,
-                          run_ensemble, run_repeats)
-from flmc.targets import (double_well_stationary_points, double_well_target,
-                          synthetic_mf_target)
+                          run_ensemble)
+from flmc.targets import (Target, double_well_stationary_points,
+                          double_well_target, synthetic_mf_target)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_values.json")
 
@@ -127,18 +127,23 @@ def test_write_json_nan_becomes_null(tmp_path):
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def test_alpha_sweep_single_cell_matches_run_repeats(m_star):
+def test_alpha_sweep_single_cell_matches_sequential_repeats(m_star,
+                                                           sequential_repeats):
     sched = Polynomial(1e-5, 0.6)
     rep = alpha_sweep_report(double_well_target(), (1.8,), 300, 3, 5,
                              "origin", m_star, grid=(sched,))
     cfg = SamplerConfig(alpha=1.8, drift_spec=Simplified(), schedule=sched,
                         iterations=300, seed=5)
-    summary = run_repeats(cfg, double_well_target(), lambda x: x, 3, m_star,
-                          initial_states=[0.0, 0.0, 0.0])
+    summary = sequential_repeats(cfg, double_well_target(), lambda x: x, 3,
+                                 m_star, initial_states=[0.0, 0.0, 0.0])
     assert rep.rows == [(1.8, schedule_label(sched), summary.mean_abs_bias,
                          summary.se, 0)]
     # the metadata names the grid that was searched, not the default one
     assert rep.metadata["schedule_grid"] == [schedule_label(sched)]
+
+
+def _no_single_chain(*args, **kwargs):
+    raise AssertionError("a sweep cell ran on its own")
 
 
 def test_alpha_sweep_is_one_ensemble(monkeypatch, m_star):
@@ -150,12 +155,8 @@ def test_alpha_sweep_is_one_ensemble(monkeypatch, m_star):
         calls.append((len(cfgs), {(c.alpha, c.schedule) for c in cfgs}))
         return run_ensemble(cfgs, target, g)
 
-    def per_cell(*args, **kwargs):
-        raise AssertionError("a sweep cell ran on its own")
-
     monkeypatch.setattr(cli, "run_ensemble", counting)
-    monkeypatch.setattr(cli, "run_repeats", per_cell)
-    monkeypatch.setattr(cli, "run_chain", per_cell)
+    monkeypatch.setattr(cli, "run_chain", _no_single_chain)
     grid = (Constant(0.002), Polynomial(1e-5, 0.6))
     rep = alpha_sweep_report(double_well_target(), (2.0, 1.5, 1.7), 40, 3, 5,
                              "wells", m_star, grid=grid)
@@ -190,9 +191,9 @@ def test_wider_truncation_no_worse_paired(m_star):
 
 # sha256 of the CSV and .meta.json of bias_sweep_report(DW, (1.5, 2.0),
 # (0.05, 0.1, 0.2), (1, 5), schedule, 300, 3, 7, "wells", m_star), recorded
-# when every cell still ran one run_repeats (const:0.02 re-recorded when
-# double_well_grad moved to product form); at const:0.02 two repeats of
-# the (1.5, 0.2, 5) cell diverge
+# when every cell still ran its repeats one chain at a time (const:0.02
+# re-recorded when double_well_grad moved to product form); at const:0.02
+# two repeats of the (1.5, 0.2, 5) cell diverge
 PINNED_BIAS_SWEEP = {
     "poly:1e-07,0.6": (
         "b2cd3eb2ecf3825e66f517158e35ca9a7513f9471f9944d3fce9040ab4d8aef0",
@@ -215,37 +216,100 @@ def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
     assert digests == PINNED_BIAS_SWEEP[label]
 
 
-def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
-    calls = []
-
-    def counting(cfgs, target, g):
-        calls.append((cfgs[0].alpha, cfgs[0].drift_spec.K, len(cfgs)))
-        return run_ensemble(cfgs, target, g)
-
-    monkeypatch.setattr(cli, "run_ensemble", counting)
-    bias_sweep_report(double_well_target(), (1.5, 1.7, 2.0), (0.05, 0.1, 0.2),
-                      (1, 5), Polynomial(1e-7, 0.6), 20, 3, 7, "wells", m_star)
-    # alpha = 2 cells run on run_repeats; every other (alpha, K) is one
-    # call covering all three h values and all three repeats
-    assert sorted(calls) == [(1.5, 1, 9), (1.5, 5, 9), (1.7, 1, 9), (1.7, 5, 9)]
-
-
-def test_bias_sweep_one_gaussian_run(monkeypatch, m_star):
-    # at alpha = 2 the drift is -U'(x) whatever h and K: one run_repeats
+def test_bias_sweep_ensemble_calls(monkeypatch, m_star):
+    # every (alpha < 2, K) is one full-drift call covering all three h
+    # values and all three repeats. At alpha = 2 the full drift is -U'(x)
+    # whatever h and K: one simplified-drift call of the three repeats
     # serves all 3 x 2 cells, and they report the same row
     calls = []
 
-    def counting(cfg, *args, **kwargs):
-        calls.append((cfg.alpha, cfg.drift_spec))
-        return run_repeats(cfg, *args, **kwargs)
+    def counting(cfgs, target, g):
+        calls.append(({(c.alpha, c.drift_spec.K if isinstance(
+            c.drift_spec, FullCentered) else c.drift_spec) for c in cfgs},
+            len(cfgs)))
+        return run_ensemble(cfgs, target, g)
 
-    monkeypatch.setattr(cli, "run_repeats", counting)
-    rep = bias_sweep_report(double_well_target(), (2.0,), (0.2, 0.05, 0.1),
-                            (5, 1), Polynomial(1e-7, 0.6), 20, 3, 7, "wells",
-                            m_star)
-    assert calls == [(2.0, FullCentered(0.05, 1))]
-    assert len(rep.rows) == 6
-    assert len({row[3:] for row in rep.rows}) == 1
+    monkeypatch.setattr(cli, "run_ensemble", counting)
+    monkeypatch.setattr(cli, "run_chain", _no_single_chain)
+    rep = bias_sweep_report(double_well_target(), (2.0, 1.7, 1.5),
+                            (0.2, 0.05, 0.1), (5, 1), Polynomial(1e-7, 0.6),
+                            20, 3, 7, "wells", m_star)
+    assert calls == [({(1.5, 1)}, 9), ({(1.5, 5)}, 9), ({(1.7, 1)}, 9),
+                     ({(1.7, 5)}, 9), ({(2.0, Simplified())}, 3)]
+    gaussian = [row for row in rep.rows if row[0] == 2.0]
+    assert len(gaussian) == 6
+    assert len({row[3:] for row in gaussian}) == 1
+
+
+def _hex_row(row):
+    return tuple(v.hex() if isinstance(v, float) else v for v in row)
+
+
+@settings(max_examples=20, deadline=None)
+@given(alphas=st.sets(st.sampled_from([1.5, 1.8, 2.0]), min_size=1, max_size=2),
+       hs=st.sets(st.sampled_from([0.05, 0.1, 0.2]), min_size=1, max_size=2),
+       Ks=st.sets(st.sampled_from([1, 5]), min_size=1),
+       init=st.sampled_from(["origin", "wells", "1e300"]),
+       label=st.sampled_from(["poly:1e-07,0.6", "const:0.02"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(alphas={1.5, 2.0}, hs={0.2}, Ks={5}, init="wells", label="const:0.02",
+         seed=7)  # two of the (1.5, 0.2, 5) cell's repeats diverge
+def test_bias_sweep_matches_sequential_repeats(m_star, sequential_repeats,
+                                               alphas, hs, Ks, init, label,
+                                               seed):
+    # every row, the alpha = 2 rows on the simplified ensemble included,
+    # is the one its cell gives with full-drift chains run one at a time;
+    # const:0.02 makes some repeats diverge, and a 1e300 start every one
+    schedule, n, repeats = parse_schedule(label), 300, 3
+    rep = bias_sweep_report(double_well_target(), alphas, hs, Ks, schedule, n,
+                            repeats, seed, init, m_star)
+    want = []
+    for alpha in sorted(alphas):
+        for h in sorted(hs):
+            for K in sorted(Ks):
+                cfg = SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
+                                    schedule=schedule, iterations=n, seed=seed)
+                # a single chain's full drift warns where it overflows,
+                # then records the overflow as the repeat's failure
+                with np.errstate(all="ignore"):
+                    summary = sequential_repeats(cfg, double_well_target(),
+                                                 lambda x: x, repeats, m_star,
+                                                 initial_states(init, repeats))
+                want.append((alpha, h, K, summary.mean_abs_bias, summary.se,
+                             summary.n_failed))
+    assert [_hex_row(r) for r in rep.rows] == [_hex_row(r) for r in want]
+
+
+def _broken(x):
+    return x.no_such_attribute
+
+
+_BROKEN = Target(dim=1, potential=_broken, gradient=_broken)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda truth: alpha_sweep_report(_BROKEN, (1.7, 2.0), 20, 2, 0, "wells",
+                                     truth, grid=(Constant(0.002),)),
+    lambda truth: bias_sweep_report(_BROKEN, (1.5,), (0.05,), (5,),
+                                    Constant(0.002), 20, 2, 0, "wells", truth),
+    lambda truth: bias_sweep_report(_BROKEN, (2.0,), (0.05,), (5,),
+                                    Constant(0.002), 20, 2, 0, "wells", truth)],
+    ids=["alpha-sweep", "bias-full-drift", "bias-alpha-2"])
+def test_programming_error_propagates_from_sweeps(m_star, sweep):
+    # a broken target is a programming error, never a failed repeat or a
+    # NaN cell
+    with pytest.raises(AttributeError):
+        sweep(m_star)
+
+
+def test_sweeps_reject_zero_repeats(m_star):
+    dw = double_well_target()
+    for alphas in ((1.5,), (2.0,)):
+        with pytest.raises(ValueError):
+            alpha_sweep_report(dw, alphas, 20, 0, 0, "wells", m_star)
+        with pytest.raises(ValueError):
+            bias_sweep_report(dw, alphas, (0.05,), (5,), Constant(0.002), 20,
+                              0, 0, "wells", m_star)
 
 
 def test_kappa_report_shape():
@@ -487,6 +551,46 @@ def test_non_finite_flag_is_usage_error(tmp_path, capsys, flag, value):
     out = capsys.readouterr()
     assert out.out == ""
     assert "finite" in out.err
+
+
+def _run_main(argv):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, stdout.getvalue()
+
+
+_SWEEP_TAIL = ["--n", "5", "--repeats", "2", "--fixtures", FIXTURES]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bias-k", "--alpha", "2", "--k-list", "0"],
+    ["bias-k", "--alpha", "1.5,2", "--k-list", "1,0"],
+    ["bias-h", "--alpha", "2", "--h-list", "-1"],
+    ["bias-h", "--alpha", "2", "--h-list", "nan"],
+    *([cmd, "--alpha", alpha, "--repeats", "0"]
+      for cmd in ("bias-k", "bias-h", "alpha-sweep") for alpha in ("1.5", "2"))],
+    ids=" ".join)
+def test_sweep_usage_error_exits_two(tmp_path, argv):
+    # the alpha = 2 cells validate h and K though their drift ignores them
+    code, out = _run_main(argv[:1] + _SWEEP_TAIL + argv[1:]
+                          + ["--outdir", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
+def test_sweep_all_diverging_exits_zero_with_nan_rows(tmp_path, cmd):
+    # every repeat of every cell fails, the alpha = 2 ones included: an
+    # outcome to report, not an error
+    out = tmp_path / "sweep.csv"
+    code, stdout = _run_main([cmd, "--alpha", "1.5,2", "--init", "1e300",
+                              *_SWEEP_TAIL, "--out", str(out)])
+    assert (code, stdout) == (0, "")
+    rows = out.read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"1.5", "2"}
+    assert all(row.endswith(",nan,nan,2") for row in rows)
 
 
 # sha256 of `flmc sample --alpha 1.7 --schedule const:0.002 --n 3000

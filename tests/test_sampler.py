@@ -17,7 +17,7 @@ from flmc.drift import DriftOverflowError, FullCentered, Simplified, full_drift
 from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, _increments, _streams, repeat_seeds,
-                          run_chain, run_ensemble, run_repeats)
+                          run_chain, run_ensemble, summarize_repeats)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
                           gaussian_target, sg_gradient, synthetic_mf_target)
@@ -197,13 +197,13 @@ def test_zero_drift_increments_are_rescaled_stable_noise():
     assert ks_2samp(incr, ref).pvalue > 0.01
 
 
-def test_gaussian_weighted_mean_small_over_seeds():
+def test_gaussian_weighted_mean_small_over_seeds(sequential_repeats):
     # ten chains on the standard Gaussian: the seed-averaged weighted
     # estimate of E[x] sits near zero even though any one chain wanders
     cfg = SamplerConfig(alpha=2.0, drift_spec=Simplified(),
                         schedule=Polynomial(1e-3, 0.6), iterations=200_000, seed=42)
-    summary = run_repeats(cfg, gaussian_target(0.0, 1.0), lambda x: x,
-                          repeats=10, truth=0.0)
+    summary = _checked_repeats(sequential_repeats, cfg, gaussian_target(0.0, 1.0),
+                               lambda x: x, repeats=10, truth=0.0)
     assert summary.n_failed == 0
     assert abs(np.mean(summary.estimates)) < 0.05
 
@@ -295,30 +295,57 @@ def test_repeat_seeds_deterministic_and_distinct():
     assert repeat_seeds(8, 10) != s1
 
 
-def test_single_repeat_bias_is_plain_error():
+def _ensemble_repeats(cfg, target, g, repeats, truth, initial_states=None):
+    """A sweep cell as the sweeps run it: every repeat of cfg, at the
+    seeds and starts _sequential_repeats takes, in one run_ensemble call."""
+    starts = [cfg.initial_state] * repeats if initial_states is None else initial_states
+    return summarize_repeats(run_ensemble(
+        [replace(cfg, seed=s, initial_state=x0) for s, x0 in
+         zip(repeat_seeds(cfg.seed, repeats), starts, strict=True)], target, g),
+        truth)
+
+
+def _summary_key(summary):
+    return ([v.hex() for v in summary.estimates], summary.mean_abs_bias.hex(),
+            summary.se.hex(), summary.n_failed,
+            [(r, _outcome_key(e)) for r, e in summary.failures])
+
+
+def _checked_repeats(sequential_repeats, cfg, target, g, repeats, truth,
+                     initial_states=None):
+    """The ensemble summary, after checking it bit for bit against the
+    sequential reference: estimates, bias, se, and each failure's repeat
+    index, seed, step, state and cause."""
+    summary = _ensemble_repeats(cfg, target, g, repeats, truth, initial_states)
+    want = sequential_repeats(cfg, target, g, repeats, truth, initial_states)
+    assert _summary_key(summary) == _summary_key(want)
+    return summary
+
+
+def test_single_repeat_bias_is_plain_error(sequential_repeats):
     cfg = _cfg(iterations=400, seed=3)
-    summary = run_repeats(cfg, DW, lambda x: x, repeats=1, truth=0.25)
-    trace = run_chain(SamplerConfig(alpha=cfg.alpha, drift_spec=cfg.drift_spec,
-                                    schedule=cfg.schedule, iterations=400,
-                                    seed=repeat_seeds(3, 1)[0]),
-                      DW, {"g": lambda x: x})
+    summary = _checked_repeats(sequential_repeats, cfg, DW, lambda x: x,
+                               repeats=1, truth=0.25)
+    trace = run_chain(replace(cfg, seed=repeat_seeds(3, 1)[0]), DW,
+                      {"g": lambda x: x})
     assert summary.mean_abs_bias == abs(trace.estimates["g"] - 0.25)
     assert summary.se == 0.0
 
 
-def test_same_base_seed_same_summary():
+def test_same_base_seed_same_summary(sequential_repeats):
     cfg = _cfg(iterations=300)
-    a = run_repeats(cfg, DW, lambda x: x, repeats=4, truth=0.0)
-    b = run_repeats(cfg, DW, lambda x: x, repeats=4, truth=0.0)
-    assert a.estimates == b.estimates
-    assert a.mean_abs_bias == b.mean_abs_bias
+    a = _checked_repeats(sequential_repeats, cfg, DW, lambda x: x, repeats=4,
+                         truth=0.0)
+    b = _ensemble_repeats(cfg, DW, lambda x: x, repeats=4, truth=0.0)
+    assert _summary_key(a) == _summary_key(b)
 
 
-def test_failed_repeats_excluded_with_count():
+def test_failed_repeats_excluded_with_count(sequential_repeats):
     cfg = SamplerConfig(alpha=2.0, drift_spec=Simplified(), schedule=Constant(0.01),
                         iterations=50, seed=13)
-    summary = run_repeats(cfg, FLAT, lambda x: x, repeats=3, truth=0.0,
-                          initial_states=[0.0, 2e12, 1.0])
+    summary = _checked_repeats(sequential_repeats, cfg, FLAT, lambda x: x,
+                               repeats=3, truth=0.0,
+                               initial_states=[0.0, 2e12, 1.0])
     assert summary.n_failed == 1
     assert len(summary.estimates) == 2
     assert summary.failures[0][0] == 1
@@ -333,7 +360,7 @@ def test_programming_error_propagates_from_repeats():
         return x.no_such_attribute
 
     with pytest.raises(AttributeError):
-        run_repeats(_cfg(iterations=20), DW, broken, repeats=3, truth=0.0)
+        _ensemble_repeats(_cfg(iterations=20), DW, broken, repeats=3, truth=0.0)
 
 
 def test_drift_overflow_becomes_chain_failure():
@@ -346,29 +373,27 @@ def test_drift_overflow_becomes_chain_failure():
     assert isinstance(exc.value.cause, DriftOverflowError)
 
 
-def test_all_failed_gives_nan_summary():
+def test_all_failed_gives_nan_summary(sequential_repeats):
     cfg = SamplerConfig(alpha=2.0, drift_spec=Simplified(), schedule=Constant(0.01),
                         iterations=50, seed=13, initial_state=2e12)
-    summary = run_repeats(cfg, FLAT, lambda x: x, repeats=2, truth=0.0)
+    summary = _checked_repeats(sequential_repeats, cfg, FLAT, lambda x: x,
+                               repeats=2, truth=0.0)
     assert summary.n_failed == 2
     assert np.isnan(summary.mean_abs_bias)
 
 
 def test_repeats_validation():
-    cfg = _cfg()
     with pytest.raises(ValueError):
-        run_repeats(cfg, DW, lambda x: x, repeats=0, truth=0.0)
-    with pytest.raises(ValueError):
-        run_repeats(cfg, DW, lambda x: x, repeats=2, truth=0.0,
-                    initial_states=[0.0])
+        repeat_seeds(0, 0)
 
 
-def test_mode_trapping_bias_scale(m_star):
+def test_mode_trapping_bias_scale(m_star, sequential_repeats):
     # Gaussian-driven chains started at the origin commit to one well for
     # the whole run: the weighted mean lands a well-width away from truth
     cfg = SamplerConfig(alpha=2.0, drift_spec=Simplified(),
                         schedule=Polynomial(1e-5, 0.51), iterations=50_000, seed=42)
-    summary = run_repeats(cfg, DW, lambda x: x, repeats=10, truth=m_star)
+    summary = _checked_repeats(sequential_repeats, cfg, DW, lambda x: x,
+                               repeats=10, truth=m_star)
     assert summary.n_failed == 0
     assert 2.0 < summary.mean_abs_bias < 4.0
 
