@@ -216,29 +216,44 @@ def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
     assert digests == PINNED_BIAS_SWEEP[label]
 
 
-def test_bias_sweep_ensemble_calls(monkeypatch, m_star):
-    # every (alpha < 2, K) is one full-drift call covering all three h
-    # values and all three repeats. At alpha = 2 the full drift is -U'(x)
-    # whatever h and K: one simplified-drift call of the three repeats
-    # serves all 3 x 2 cells, and they report the same row
+def _spy_run_ensemble(monkeypatch):
+    # record each run_ensemble call of a sweep as (alpha, K or the
+    # simplified spec, number of chains), and forbid single-chain runs
     calls = []
 
     def counting(cfgs, target, g):
-        calls.append(({(c.alpha, c.drift_spec.K if isinstance(
-            c.drift_spec, FullCentered) else c.drift_spec) for c in cfgs},
-            len(cfgs)))
+        spec = cfgs[0].drift_spec
+        calls.append((cfgs[0].alpha,
+                      spec.K if isinstance(spec, FullCentered) else spec,
+                      len(cfgs)))
         return run_ensemble(cfgs, target, g)
 
     monkeypatch.setattr(cli, "run_ensemble", counting)
     monkeypatch.setattr(cli, "run_chain", _no_single_chain)
-    rep = bias_sweep_report(double_well_target(), (2.0, 1.7, 1.5),
-                            (0.2, 0.05, 0.1), (5, 1), Polynomial(1e-7, 0.6),
-                            20, 3, 7, "wells", m_star)
-    assert calls == [({(1.5, 1)}, 9), ({(1.5, 5)}, 9), ({(1.7, 1)}, 9),
-                     ({(1.7, 5)}, 9), ({(2.0, Simplified())}, 3)]
-    gaussian = [row for row in rep.rows if row[0] == 2.0]
-    assert len(gaussian) == 6
-    assert len({row[3:] for row in gaussian}) == 1
+    return calls
+
+
+def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
+    # every (alpha < 2, K) is one full-drift call covering all three h
+    # values and all three repeats; alpha = 2 is one simplified-drift call
+    calls = _spy_run_ensemble(monkeypatch)
+    bias_sweep_report(double_well_target(), (1.5, 1.7, 2.0), (0.05, 0.1, 0.2),
+                      (1, 5), Polynomial(1e-7, 0.6), 20, 3, 7, "wells", m_star)
+    assert calls == [(1.5, 1, 9), (1.5, 5, 9), (1.7, 1, 9), (1.7, 5, 9),
+                     (2.0, Simplified(), 3)]
+
+
+def test_bias_sweep_one_gaussian_run(monkeypatch, m_star):
+    # at alpha = 2 the full drift is -U'(x) whatever h and K: one
+    # simplified-drift call of the three repeats serves all 3 x 2 cells,
+    # and they report the same row
+    calls = _spy_run_ensemble(monkeypatch)
+    rep = bias_sweep_report(double_well_target(), (2.0,), (0.2, 0.05, 0.1),
+                            (5, 1), Polynomial(1e-7, 0.6), 20, 3, 7, "wells",
+                            m_star)
+    assert calls == [(2.0, Simplified(), 3)]
+    assert len(rep.rows) == 6
+    assert len({row[3:] for row in rep.rows}) == 1
 
 
 def _hex_row(row):
