@@ -25,7 +25,6 @@ from . import __version__
 from .drift import DriftOverflowError, FullCentered, Simplified, kappa
 from .oracle import (QuadratureError, QuadratureSpec, SupportError,
                      quadrature_expectation)
-from .riesz import NodeEvaluationError
 from .sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                       repeat_seeds, run_chain, run_ensemble, summarize_repeats)
 from .targets import (double_well_stationary_points, double_well_target,
@@ -597,9 +596,8 @@ def main(argv=None) -> int:
                 "cause": str(e.cause)}
         print(json.dumps(diag, sort_keys=True))
         return 1
-    except (DriftOverflowError, QuadratureError, SupportError,
-            NodeEvaluationError, OSError) as e:
-        # before ValueError: these two subclass it but are not usage errors
+    except (DriftOverflowError, QuadratureError, SupportError, OSError) as e:
+        # before ValueError: SupportError subclasses it but is no usage error
         print(json.dumps({"error": type(e).__name__, "detail": str(e)},
                          sort_keys=True))
         return 1

@@ -135,8 +135,10 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
             raise DriftOverflowError(x, math.inf)
         return b
     st = build_stencil(gamma, spec.h, spec.K)
-    b, ell_star = full_drift_rows(target, np.array([float(x)]),
-                                  st.offsets * st.h, st.weights, st.h**st.gamma)
+    with np.errstate(all="ignore"):  # raised below as DriftOverflowError
+        b, ell_star = full_drift_rows(target, np.array([float(x)]),
+                                      st.offsets * st.h, st.weights,
+                                      st.h**st.gamma)
     if not math.isfinite(b[0]):
         raise DriftOverflowError(x, float(ell_star[0]))
     return float(b[0])

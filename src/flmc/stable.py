@@ -14,8 +14,8 @@ import numpy as np
 
 __all__ = ["StableNoise", "sample_sas_vector", "sas_chunks"]
 
-# V draws this close to +-pi/2 would underflow cos(V); redrawing keeps the
-# stream deterministic and changes the law by a ~1e-10 probability event.
+# V draws this close to +-pi/2 would underflow cos(V); clamping them in place
+# keeps the stream's layout and changes the law by a ~1e-10 probability event.
 _V_EDGE = np.pi / 2 - 1e-10
 _CHUNK = 1 << 16  # draws per chunk of the (V, W) -> SaS map
 
@@ -45,9 +45,9 @@ class StableNoise:
 def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
     """Chambers-Mallows-Stuck map from (V, W) to SaS draws, written into V.
 
-    V uniform on (-pi/2, pi/2), W unit exponential. One code path for all
-    alpha: at alpha=2 the expression reduces algebraically to
-    2*sigma*sin(V)*sqrt(W), i.e. N(0, 2*sigma^2).
+    V uniform on (-pi/2, pi/2), clamped in place to +-_V_EDGE; W unit
+    exponential. One code path for all alpha: at alpha=2 the expression
+    reduces algebraically to 2*sigma*sin(V)*sqrt(W), i.e. N(0, 2*sigma^2).
     """
     a = noise.alpha
     # _CHUNK draws at a time, each chunk's draws written back into V, so a
@@ -55,6 +55,8 @@ def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
     # same order (**= is **'s scalar-power path), so chunking moves no bit
     for lo in range(0, V.size, _CHUNK):
         v = V[lo:lo + _CHUNK]
+        np.minimum(v, _V_EDGE, out=v)  # half the cost of np.clip here
+        np.maximum(v, -_V_EDGE, out=v)
         x = np.multiply(a, v)
         np.sin(x, out=x)
         t = np.cos(v)
@@ -69,28 +71,14 @@ def _transform(noise: StableNoise, V: np.ndarray, W: np.ndarray):
     return V
 
 
-def _on_edge(V: np.ndarray) -> np.ndarray:
-    # two comparisons rather than np.abs(V) > _V_EDGE: no float temporary
-    return (V > _V_EDGE) | (V < -_V_EDGE)
-
-
-def _draw_vw(rng: np.random.Generator, size: int):
-    V = rng.uniform(-np.pi / 2, np.pi / 2, size)
-    W = rng.standard_exponential(size)
-    bad = _on_edge(V)
-    while bad.any():
-        V[bad] = rng.uniform(-np.pi / 2, np.pi / 2, int(bad.sum()))
-        bad = _on_edge(V)
-    return V, W
-
-
 def sample_sas_vector(
     noise: StableNoise, dim: int, rng: np.random.Generator
 ) -> np.ndarray:
     """A vector of `dim` independent SaS(sigma) draws from a seeded generator."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    V, W = _draw_vw(rng, dim)
+    V = rng.uniform(-np.pi / 2, np.pi / 2, dim)
+    W = rng.standard_exponential(dim)
     return _transform(noise, V, W)
 
 
@@ -102,24 +90,14 @@ def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
     The whole-block draw takes all of V, then all of W, from rng. Here V
     comes off rng a piece at a time and W off a copy of its bit generator
     advanced past the `size` V draws (one 64-bit output per uniform, as
-    PCG64 counts them). An edge V is redrawn after all of W, so the piece
-    that holds the first one, and every piece after it, comes from the
-    whole block, drawn from rng reset to its start state (about 1e-10 per
-    draw).
+    PCG64 counts them).
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    start = rng.bit_generator.state
     bits = copy.deepcopy(rng.bit_generator)
     bits.advance(size)
-    w_rng, whole = np.random.Generator(bits), None
+    w_rng = np.random.Generator(bits)
     for lo in range(0, size, chunk):
         m = min(chunk, size - lo)
-        if whole is None:
-            V = rng.uniform(-np.pi / 2, np.pi / 2, m)
-            if not _on_edge(V).any():
-                yield _transform(noise, V, w_rng.standard_exponential(m))
-                continue
-            rng.bit_generator.state = start
-            whole = sample_sas_vector(noise, size, rng)
-        yield whole[lo:lo + m]
+        V = rng.uniform(-np.pi / 2, np.pi / 2, m)
+        yield _transform(noise, V, w_rng.standard_exponential(m))

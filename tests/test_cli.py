@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -484,6 +485,22 @@ def test_chain_failure_exits_one_with_diagnostic(tmp_path, capsys):
     assert diag["error"] == "chain-failure"
     assert diag["cause"] == "divergence"
     assert diag["step"] >= 1
+
+
+def test_full_drift_overflow_exits_one_without_warnings(tmp_path, capsys):
+    # U overflows at the start: exit 1 with the JSON diagnostic, and no
+    # numpy RuntimeWarning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--drift", "full:0.05,5", "--init", "1e300",
+                     "--n", "5", "--out", str(tmp_path / "trace.csv")])
+    out = capsys.readouterr()
+    assert code == 1
+    assert json.loads(out.out) == {
+        "cause": "drift overflow at x=1e+300: exponent nan",
+        "error": "chain-failure", "seed": 0, "state": [1e300], "step": 1}
+    assert out.err == ""
+    assert caught == []
 
 
 def test_support_error_exits_one_with_diagnostic(tmp_path, capsys, monkeypatch):

@@ -168,7 +168,6 @@ def test_gaussian_order_overflow_is_drift_overflow():
         full_drift(DW, 5e102, FullCentered(0.06, 5), 2.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at huge x
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.one_of(st.just(2.0), st.floats(1.0, 2.0, exclude_min=True)),
        h=st.floats(1e-3, 1.0), K=st.integers(1, 60),

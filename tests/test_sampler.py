@@ -602,8 +602,8 @@ def test_chunked_increments_equal_whole_block(alpha, schedule, iterations, dim,
 @pytest.mark.parametrize("rows", [1, 7, 500])
 @pytest.mark.parametrize("dim", [1, 3])
 def test_chunked_increments_edge_fallback(monkeypatch, rows, dim):
-    # an edge of 1.0 puts about a third of V on the edge: the stream falls
-    # back to the whole block, whose redraws come after all of W
+    # an edge of 1.0 clamps about a third of V: the chunked stream still
+    # equals the whole block
     monkeypatch.setattr(stable, "_V_EDGE", 1.0)
     _assert_same_blocks(_cfg(iterations=500, seed=3), dim, rows)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,12 +141,10 @@ def _reference_transform(noise, V, W):
 
 
 def _reference_draws(noise, n, rng):
+    # all of V, then all of W; V clamped to the edge band by np.clip
     V = rng.uniform(-np.pi / 2, np.pi / 2, n)
     W = rng.standard_exponential(n)
-    bad = np.abs(V) > stable._V_EDGE
-    while bad.any():
-        V[bad] = rng.uniform(-np.pi / 2, np.pi / 2, int(bad.sum()))
-        bad = np.abs(V) > stable._V_EDGE
+    V = np.clip(V, -stable._V_EDGE, stable._V_EDGE)
     return _reference_transform(noise, V, W)
 
 
@@ -159,14 +158,28 @@ def test_draws_do_not_depend_on_chunk_size(alpha, monkeypatch):
         assert x.tobytes() == ref, chunk
 
 
-def test_edge_redraw_matches_abs_form(monkeypatch):
-    # an edge of 1.0 redraws about a third of V, so the loop runs many times
+def test_edge_clamp_matches_reference(monkeypatch):
+    # an edge of 1.0 clamps about a third of V, in 13-draw chunks
     monkeypatch.setattr(stable, "_V_EDGE", 1.0)
     monkeypatch.setattr(stable, "_CHUNK", 13)
     noise = StableNoise(1.5, 1.3)
+    V = np.random.default_rng(3).uniform(-np.pi / 2, np.pi / 2, 10_001)
+    assert np.count_nonzero(np.abs(V) > 1.0) > 3000
     x = sample_sas_vector(noise, 10_001, np.random.default_rng(3))
     ref = _reference_draws(noise, 10_001, np.random.default_rng(3))
     assert x.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.5, 2.0])
+def test_transform_clamps_v_at_pi_over_2(alpha):
+    # +-pi/2, past the edge, maps to the bits of +-_V_EDGE, and they are finite
+    noise, W = StableNoise(alpha, 1.3), np.array([0.7, 0.7, 2.5, 2.5])
+    at_pi = stable._transform(noise, np.array([1, -1, 1, -1]) * np.pi / 2,
+                              W.copy())
+    at_edge = stable._transform(
+        noise, np.array([1, -1, 1, -1]) * stable._V_EDGE, W.copy())
+    assert at_pi.tobytes() == at_edge.tobytes()
+    assert np.all(np.isfinite(at_pi))
 
 
 def _pieces(noise, size, seed, chunk):
@@ -193,19 +206,36 @@ def test_chunks_equal_whole_block(alpha, size, seed, chunk):
 @pytest.mark.parametrize("edge", [1.0, 1.5])
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_chunks_fall_back_to_whole_block_at_an_edge(monkeypatch, edge, chunk):
-    # an edge V is redrawn after all of W, so the piece that holds the
-    # first one switches to the whole block; the pieces before it were
-    # drawn piece by piece and must agree with it too
+    # an edge V is clamped in place, so every piece comes off the stream,
+    # edge or not, and the pieces equal the whole block without drawing it
     monkeypatch.setattr(stable, "_V_EDGE", edge)
-    whole_draws = []
-    monkeypatch.setattr(stable, "sample_sas_vector",
-                        lambda *a: whole_draws.append(a) or sample_sas_vector(*a))
+
+    def no_whole_block(*args):
+        raise AssertionError("sas_chunks drew the whole block")
+
+    monkeypatch.setattr(stable, "sample_sas_vector", no_whole_block)
     noise, size, seed = StableNoise(1.5, 1.3), 1000, 11
     V = np.random.default_rng(seed).uniform(-np.pi / 2, np.pi / 2, size)
-    first_edge = int(np.argmax(np.abs(V) > edge))
+    assert np.any(np.abs(V) > edge)
     got = _pieces(noise, size, seed, chunk)
     assert got.tobytes() == _reference_draws(
         noise, size, np.random.default_rng(seed)).tobytes()
-    assert len(whole_draws) == 1
-    if chunk < 1000 and edge == 1.5:
-        assert first_edge >= chunk  # some pieces came before the fallback
+
+
+def test_chunks_hold_one_piece_at_an_edge(monkeypatch):
+    # with an edge V about every 16 000 draws, iterating the stream holds a
+    # few piece-sized buffers, never the 1e6-draw block
+    monkeypatch.setattr(stable, "_V_EDGE", 1.5707)
+    size, chunk = 1_000_000, 4096
+    V = np.random.default_rng(5).uniform(-np.pi / 2, np.pi / 2, size)
+    assert np.count_nonzero(np.abs(V) > 1.5707) > 10
+    del V
+    stream = sas_chunks(StableNoise(1.7), size, np.random.default_rng(5), chunk)
+    tracemalloc.start()
+    try:
+        for piece in stream:
+            assert piece.size <= chunk
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * chunk * 8
