@@ -88,8 +88,9 @@ def _scaled_terms(target: Target, x: np.ndarray, steps: np.ndarray,
     steps (offsets times h) and weights are one (2K+1,) stencil shared by
     every row or an (R, 2K+1) table with a row per state. Returns ell_star
     (R,) and terms (R, 2K+1) in the stencil's node order; row r's drift is
-    exp(ell_star[r]) / h_r**gamma times its term sum. Callers decide what
-    an ell_star above _EXP_MAX means.
+    exp(ell_star[r]) / h_r**gamma times its term sum. ell_star is +inf
+    where U(x[r]) itself is not finite. Callers decide what an ell_star
+    above _EXP_MAX means.
     """
     nodes = x[:, None] - steps
     u = np.asarray(target.potential(nodes), dtype=float)
@@ -99,6 +100,7 @@ def _scaled_terms(target: Target, x: np.ndarray, steps: np.ndarray,
                         "gradient, mapping node arrays to same-shape arrays")
     ells = u[:, :1] - u  # node 0 is the state itself
     ell_star = np.max(ells, axis=1)
+    ell_star[~np.isfinite(u[:, 0])] = np.inf  # not inf - inf's NaN
     terms = weights * (-grads) * np.exp(ells - ell_star[:, None])
     return ell_star, terms
 
@@ -201,8 +203,10 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     per_point = np.full(grid.size, np.nan)
     for lo in range(0, grid.size, _KAPPA_ROWS):
         xs = grid[lo:lo + _KAPPA_ROWS]
-        ell_star, terms = _scaled_terms(target, xs, st.offsets * st.h, st.weights)
-        ok = ~(ell_star > _EXP_MAX)
+        with np.errstate(all="ignore"):  # overflowing points are skipped below
+            ell_star, terms = _scaled_terms(target, xs, st.offsets * st.h,
+                                            st.weights)
+        ok = ell_star <= _EXP_MAX
         for x, ell in zip(xs[~ok].tolist(), ell_star[~ok].tolist()):
             log.warning("kappa: skipping grid point %r (drift overflow, "
                         "exponent %r)", x, ell)

@@ -19,7 +19,7 @@ import numpy as np
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
-from .stable import StableNoise, sas_chunks
+from .stable import StableNoise, sas_chunks, sas_rows, vw_stream
 from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 
 __all__ = [
@@ -273,10 +273,15 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     is the estimate of g that run_chain(configs[r], target, {"g": g})
     returns, bit for bit, or the ChainFailure it raises (same step, state
     and cause). Each step evaluates every chain's drift at once, as
-    -c_alpha * U'(x) on the (R,) state or on one (R, 2K+1) stencil table;
-    g and the target's potential and gradient must act elementwise on
-    arrays, rounding as they do on Python floats. Each chain's noise comes
-    _NOISE_CHUNK steps at a time from its own stream.
+    -c_alpha * U'(x) on the (R,) state or on one (R, 2K+1) stencil table,
+    and writes the new states into a row of an (m, R) block. The rest is
+    done once per chunk of m <= _NOISE_CHUNK steps: g is called on the
+    (m, R) block, the estimator and step-size sums run down its columns in
+    run_chain's order, and the block is scanned for the first divergence
+    of each row. g and the target's potential and gradient must act
+    elementwise on arrays, rounding as they do on Python floats. Each
+    chain's noise comes _NOISE_CHUNK steps at a time from its own stream,
+    the chains of one alpha mapped by one stable transform per chunk.
     """
     if not configs:
         return []
@@ -304,23 +309,38 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
         drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
-    streams = [_increments(c, _streams(c.seed)[0]) for c in configs]
-    etas, jumps = np.zeros((_NOISE_CHUNK, R)), np.zeros((_NOISE_CHUNK, R))
+    draws = [vw_stream(_streams(c.seed)[0], N) for c in configs]
+    by_alpha = {a: [r for r, c in enumerate(configs) if c.alpha == a]
+                for a in dict.fromkeys(c.alpha for c in configs)}
+    scheds = [c.schedule for c in configs]
+    pairs = {(c.schedule, c.alpha) for c in configs}
+    C = min(_NOISE_CHUNK, N)
+    etas, jumps, X = np.empty((3, C, R))
     out, live = [None] * R, np.ones(R, dtype=bool)
-    acc, H, n = np.zeros(R), np.zeros(R), 0
+    acc, H = np.zeros(R), np.zeros(R)
     # a failing row's overflow, inf or NaN is its outcome, recorded below
     with np.errstate(all="ignore"):
-        for lo in range(0, N, _NOISE_CHUNK):
+        for lo in range(0, N, C):
             if not live.any():
                 break
-            m = min(_NOISE_CHUNK, N - lo)
-            # a failed row draws no more noise and idles on stale finite
-            # columns at a finite state, unread
-            for r in np.flatnonzero(live).tolist():
-                eta_r, jump_r = next(streams[r])
-                etas[:m, r], jumps[:m, r] = eta_r, jump_r[:, 0]
-            for eta, jump in zip(etas[:m], jumps[:m]):
-                n += 1
+            m, started = min(C, N - lo), live.copy()
+            E, J, Xm = etas[:m], jumps[:m], X[:m]
+            # a failed row draws no more noise and idles at 0 on zeroed
+            # columns, unread
+            etas_of = {s: _eta_array(s, lo + m, lo) for s in set(scheds)}
+            scale_of = {(s, a): etas_of[s] ** (1.0 / a) for s, a in pairs}
+            for alpha, rows in by_alpha.items():
+                rows = [r for r in rows if live[r]]
+                if not rows:
+                    continue
+                # the draws go through X, free until the steps
+                L = sas_rows(StableNoise(alpha, 1.0), [draws[r] for r in rows],
+                             X.reshape(-1)[:len(rows) * m].reshape(-1, m))
+                for r, jump_r in zip(rows, L):
+                    E[:, r] = etas_of[scheds[r]]
+                    jump_r *= scale_of[scheds[r], alpha]
+                J[:, rows] = L.T
+            for n, eta, jump, xn in zip(itertools.count(lo + 1), E, J, Xm):
                 b, ell_star = drift(x)
                 if ell_star is not None and not np.isfinite(b).all():
                     over = live & ~np.isfinite(b)
@@ -329,19 +349,29 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                                               DriftOverflowError(float(x[r]),
                                                                  float(ell_star[r])))
                     live &= ~over
-                b *= eta  # x + eta * b + jump, in b's fresh buffer
-                b += x
-                b += jump
-                x = b
-                if not np.abs(x).max() <= _DIVERGENCE_BOUND:
-                    ok = np.abs(x) <= _DIVERGENCE_BOUND
-                    for r in np.flatnonzero(live & ~ok).tolist():
-                        out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
-                                              "divergence")
-                    live &= ok
-                    x[~live] = 0.0
-                H += eta
-                acc += eta * g(x)
+                np.multiply(b, eta, xn)  # x + eta * b + jump, into X's row
+                xn += x
+                xn += jump
+                x = xn
+            # each row's first state past the bound, unless its drift
+            # overflowed first or at that step
+            ok = np.abs(Xm, out=J) <= _DIVERGENCE_BOUND
+            for r in np.flatnonzero(started & ~ok.all(axis=0)).tolist():
+                k = int(np.argmin(ok[:, r]))
+                if out[r] is None or out[r].n > lo + k + 1:
+                    out[r] = ChainFailure(configs[r].seed, lo + k + 1,
+                                          float(Xm[k, r]), "divergence")
+                    live[r] = False
+            # the sums of run_chain, term by term: the first row takes the
+            # carried sum, and accumulate adds down each column in order
+            G = np.multiply(g(Xm), E, out=J)
+            G[0] += acc
+            acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()
+            E[0] += H
+            H = np.add.accumulate(E, axis=0, out=E)[-1].copy()
+            x = Xm[-1].copy()
+            if not live.all():
+                x[~live], etas[:, ~live], jumps[:, ~live] = 0.0, 0.0, 0.0
     estimates = (acc / H).tolist()
     for r in np.flatnonzero(live).tolist():
         out[r] = estimates[r]

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StableNoise", "sample_sas_vector", "sas_chunks"]
+__all__ = ["StableNoise", "sample_sas_vector", "sas_chunks", "sas_rows",
+           "vw_stream"]
 
 # V draws this close to +-pi/2 would underflow cos(V); clamping them in place
 # keeps the stream's layout and changes the law by a ~1e-10 probability event.
 _V_EDGE = np.pi / 2 - 1e-10
-_CHUNK = 1 << 16  # draws per chunk of the (V, W) -> SaS map
+_CHUNK = 1 << 13  # draws per chunk of the (V, W) -> SaS map
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,9 @@ def sample_sas_vector(
     return _transform(noise, V, W)
 
 
-def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
-               chunk: int):
-    """sample_sas_vector(noise, size, rng) in consecutive pieces of at most
-    `chunk` draws, bit for bit, with one piece drawn at a time.
+def vw_stream(rng: np.random.Generator, size: int):
+    """The (V, W) draws of sample_sas_vector(noise, size, rng), a piece at a
+    time: draw(m) returns the next m of each.
 
     The whole-block draw takes all of V, then all of W, from rng. Here V
     comes off rng a piece at a time and W off a copy of its bit generator
@@ -97,7 +97,24 @@ def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
     bits = copy.deepcopy(rng.bit_generator)
     bits.advance(size)
     w_rng = np.random.Generator(bits)
+    return lambda m: (rng.uniform(-np.pi / 2, np.pi / 2, m),
+                      w_rng.standard_exponential(m))
+
+
+def sas_rows(noise: StableNoise, draws, out: np.ndarray) -> np.ndarray:
+    """The next m draws of each of k vw_stream draws, as the rows of `out`,
+    a C-contiguous (k, m) array, mapped by one transform; the map is
+    elementwise, so each row equals its own stream's piece bit for bit."""
+    W = np.empty_like(out)
+    for draw, v, w in zip(draws, out, W):
+        v[:], w[:] = draw(out.shape[1])
+    return _transform(noise, out.reshape(-1), W.reshape(-1)).reshape(out.shape)
+
+
+def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
+               chunk: int):
+    """sample_sas_vector(noise, size, rng) in consecutive pieces of at most
+    `chunk` draws, bit for bit, with one piece drawn at a time."""
+    draw = vw_stream(rng, size)
     for lo in range(0, size, chunk):
-        m = min(chunk, size - lo)
-        V = rng.uniform(-np.pi / 2, np.pi / 2, m)
-        yield _transform(noise, V, w_rng.standard_exponential(m))
+        yield _transform(noise, *draw(min(chunk, size - lo)))

@@ -497,7 +497,7 @@ def test_full_drift_overflow_exits_one_without_warnings(tmp_path, capsys):
     out = capsys.readouterr()
     assert code == 1
     assert json.loads(out.out) == {
-        "cause": "drift overflow at x=1e+300: exponent nan",
+        "cause": "drift overflow at x=1e+300: exponent inf",
         "error": "chain-failure", "seed": 0, "state": [1e300], "step": 1}
     assert out.err == ""
     assert caught == []
@@ -717,6 +717,33 @@ def test_kappa_cli_points_dump(tmp_path):
     assert main(base + ["--dump-points", "--out", str(out2)]) == 0
     meta2 = json.loads((tmp_path / "k2.csv.meta.json").read_text())
     assert len(meta2["per_point_kappa"]["1.7"]) == 7
+
+
+def _kappa_at(tmp_path, lo, hi, n):
+    # U overflows at 1e300: the point is skipped, and numpy's overflow
+    # stays silent
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["kappa", "--alpha", "1.5", "--k-star", "20",
+                     "--grid-lo", lo, "--grid-hi", hi, "--grid-n", n,
+                     "--out", str(tmp_path / "kappa.csv")])
+    assert caught == []
+    return code
+
+
+def test_kappa_skips_an_overflowing_point_without_warnings(tmp_path, capsys):
+    assert _kappa_at(tmp_path, "0.5", "1e300", "2") == 0
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    header, row = (tmp_path / "kappa.csv").read_text().splitlines()
+    assert header.endswith(",skipped_points") and row.endswith(",1")
+
+
+def test_kappa_all_overflow_grid_exits_one_without_warnings(tmp_path, capsys):
+    assert _kappa_at(tmp_path, "1e300", "1e300", "3") == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == "DriftOverflowError"
+    assert "RuntimeWarning" not in out.err
+    assert not (tmp_path / "kappa.csv").exists()
 
 
 def test_outdir_env_respected(tmp_path, monkeypatch):

@@ -340,6 +340,18 @@ def test_kappa_skips_overflow_points():
     assert not np.isnan(res.per_point[0])
 
 
+def test_kappa_skips_a_point_where_u_overflows():
+    # U(1e300) is inf: its exponent is +inf, not the NaN of inf - inf, so
+    # the point is skipped rather than scored as kappa = 1
+    res = kappa(DW, 1.5, 0.06, 20, [0.5, 1e300])
+    assert res.skipped == 1
+    assert np.isnan(res.per_point[1])
+    assert res.kappa_hat == res.per_point[0]
+    with pytest.raises(DriftOverflowError) as exc:
+        full_drift(DW, 1e300, FullCentered(0.06, 20), 1.5)
+    assert exc.value.ell_star == math.inf
+
+
 def test_kappa_all_points_overflow():
     with pytest.raises(DriftOverflowError):
         kappa(DW, 1.7, 0.06, 170, [40.0, 50.0])

@@ -519,6 +519,62 @@ def test_ensembles_match_chains_across_noise_chunks():
     _ensemble_matches_chains(full)
 
 
+# rows whose run_chain diverges, with 7-step chunks, at a chunk's first
+# step (1 or 8), its last step (7) or a middle step, beside a survivor;
+# each entry is (drift, eta, seed, start)
+_EDGE_ROWS = {
+    "simplified": [(Simplified(), 0.3, 0, 1e200), (Simplified(), 0.3, 0, -3.0),
+                   (Simplified(), 0.3, 2, 3.5), (Simplified(), 0.3, 0, 2.5),
+                   (Simplified(), 0.002, 0, -3.6)],
+    "full": [(FullCentered(0.1, 5), 0.12, 1, -4.0),
+             (FullCentered(0.1, 5), 0.08, 7, -3.0),
+             (FullCentered(0.1, 5), 0.08, 4, 3.0),
+             (FullCentered(0.06, 5), 0.002, 0, -3.6)],
+}
+
+
+def _edge_cfgs(kind, iterations=30):
+    return [SamplerConfig(alpha=1.5, drift_spec=spec, schedule=Constant(eta),
+                          iterations=iterations, seed=seed, initial_state=x0)
+            for spec, eta, seed, x0 in _EDGE_ROWS[kind]]
+
+
+@pytest.mark.parametrize("kind", sorted(_EDGE_ROWS))
+def test_ensemble_divergence_at_chunk_edges(kind):
+    # the divergence scan runs once per chunk: its first and last rows and
+    # a middle one each carry a row's first state past the bound
+    with mock.patch.object(sampler, "_NOISE_CHUNK", 7):
+        keys = _ensemble_matches_chains(_edge_cfgs(kind))
+    diverged = {k[2] for k in keys if k[0] == "failed" and k[4] == "str"}
+    assert {8, 7} <= diverged
+    assert diverged & {2, 3, 4, 5, 6}
+    assert keys[-1][0] == "ok"
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+@pytest.mark.parametrize("kind", sorted(_EDGE_ROWS))
+def test_one_row_ensemble_equals_run_chain(kind, chunk):
+    # R = 1 makes each block (m, 1); a sum down a lone column must still
+    # run in order, not pairwise
+    for cfg in _edge_cfgs(kind, iterations=2100):
+        with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+            _ensemble_matches_chains([cfg])
+
+
+def test_full_drift_row_diverges_then_overflows_within_a_chunk():
+    # the row passes the bound at step 4 at a finite state, where the drift
+    # overflows: step 5, in the same 7-step chunk, records an overflow that
+    # the earlier divergence must beat
+    cfgs = _edge_cfgs("full")
+    with mock.patch.object(sampler, "_NOISE_CHUNK", 7):
+        key = _ensemble_matches_chains(cfgs)[2]
+    assert key[:3] == ("failed", cfgs[2].seed, 4) and key[4] == "str"
+    state = float.fromhex(key[3])
+    assert math.isfinite(state)
+    with pytest.raises(DriftOverflowError):
+        full_drift(DW, state, cfgs[2].drift_spec, cfgs[2].alpha)
+
+
 def test_ensemble_noise_is_held_a_chunk_at_a_time():
     # 50 chains x 50 000 steps: one whole noise block is 20 MB, and its W
     # as much again while drawn; the ensemble holds a chunk per chain

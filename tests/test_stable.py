@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from flmc import stable
-from flmc.stable import StableNoise, sample_sas_vector, sas_chunks
+from flmc import sampler, stable
+from flmc.drift import Simplified
+from flmc.sampler import Constant, SamplerConfig, run_ensemble
+from flmc.stable import (StableNoise, sample_sas_vector, sas_chunks, sas_rows,
+                         vw_stream)
+from flmc.targets import double_well_target
 
 
 def test_parameter_validation():
@@ -239,3 +244,53 @@ def test_chunks_hold_one_piece_at_an_edge(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * chunk * 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.floats(1.05, 1.99), st.just(2.0)),
+       k=st.integers(1, 6), m=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from((1, 7, 64, stable._CHUNK)))
+def test_stacked_transform_equals_row_transforms(alpha, k, m, seed, chunk):
+    # the map is elementwise, so one transform over a (k, m) block gives
+    # each row the bits of its own transform, whatever the chunk size
+    rng = np.random.default_rng(seed)
+    V = rng.uniform(-np.pi / 2, np.pi / 2, (k, m))
+    W = rng.standard_exponential((k, m))
+    noise = StableNoise(alpha, 1.3)
+    with mock.patch.object(stable, "_CHUNK", chunk):
+        rows = [stable._transform(noise, v.copy(), w.copy()).tobytes()
+                for v, w in zip(V, W)]
+        stacked = stable._transform(noise, V.reshape(-1), W.reshape(-1))
+    assert [row.tobytes() for row in stacked.reshape(k, m)] == rows
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_stacked_rows_equal_each_streams_pieces(chunk):
+    # sas_rows over several vw_streams gives each stream's sas_chunks pieces
+    noise, size, seeds = StableNoise(1.5, 1.3), 1000, (3, 4, 5)
+    draws = [vw_stream(np.random.default_rng(s), size) for s in seeds]
+    blocks = [sas_rows(noise, draws, np.empty((len(seeds), min(chunk, size - lo))))
+              for lo in range(0, size, chunk)]
+    for i, seed in enumerate(seeds):
+        got = np.concatenate([block[i] for block in blocks])
+        assert got.tobytes() == _pieces(noise, size, seed, chunk).tobytes()
+
+
+def test_ensemble_transforms_once_per_alpha_per_chunk(monkeypatch):
+    # 3 chains at each of 3 alphas, 17 steps in 7-step chunks: one
+    # transform per alpha per chunk, over all of that alpha's chains
+    calls, transform = [], stable._transform
+
+    def spy(noise, V, W):
+        calls.append((noise.alpha, V.size))
+        return transform(noise, V, W)
+
+    monkeypatch.setattr(stable, "_transform", spy)
+    monkeypatch.setattr(sampler, "_NOISE_CHUNK", 7)
+    alphas = (1.5, 2.0, 1.7)
+    cfgs = [SamplerConfig(alpha=a, drift_spec=Simplified(),
+                          schedule=Constant(0.002), iterations=17, seed=s,
+                          initial_state=-3.6) for s in range(3) for a in alphas]
+    outcomes = run_ensemble(cfgs, double_well_target(), lambda x: x)
+    assert all(isinstance(v, float) for v in outcomes)
+    assert calls == [(a, 3 * m) for m in (7, 7, 3) for a in alphas]
