@@ -2,14 +2,16 @@
 
     python3 scripts/bench.py --pr N parent=../flmc-parent change=.
 
-Each LABEL=ROOT names the root of a checkout. For every workload and seed,
-`perfbench/run.py --trace 0` runs once per checkout, from that checkout's
-root and with its own perfbench, and the checkouts take turns: each next
-workload, repeat or seed reverses the order in which they run, so a drift
-in the machine's speed favours none of them. The file holds, per checkout, the median of each
-end-to-end metric over its runs of a workload, the runs themselves, the
-line count of its src/flmc, and the numpy version and core count the runs
-saw.
+Each LABEL=ROOT names the root of a checkout. Every workload of this
+checkout's BENCHMARK.json runs with `perfbench/run.py --trace 0` for the
+benchmark's run length, at seeds 1 and 7, REPEATS times each: ten runs per
+checkout and workload, from that checkout's root and with its own
+perfbench. The checkouts take turns, each next run reversing their order,
+so a drift in the machine's speed favours none of them. BENCH_<pr>.json,
+written at the root of this checkout, holds per checkout the median of
+each end-to-end metric over its runs of a workload, the runs themselves,
+the line count of its src/flmc, and the numpy version and core count the
+runs saw.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("escape", "stencil", "mf", "trace")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
 SEEDS = (1, 7)
+REPEATS = 5  # times SEEDS: ten runs a side per workload
 
 
 def parse_args(argv):
@@ -31,14 +37,6 @@ def parse_args(argv):
     p.add_argument("checkouts", nargs="+", metavar="LABEL=ROOT",
                    help="a label and the root of a checkout to run")
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
-    p.add_argument("--workloads", default=",".join(WORKLOADS),
-                   help="comma-separated, from " + ", ".join(WORKLOADS))
-    p.add_argument("--seeds", default=",".join(map(str, SEEDS)))
-    p.add_argument("--seconds", type=float, default=32.0)
-    p.add_argument("--repeats", type=int, default=1,
-                   help="runs per checkout, workload and seed")
-    p.add_argument("--out", default=None,
-                   help="output file (default BENCH_<pr>.json here)")
     args = p.parse_args(argv)
     args.roots = {}
     for item in args.checkouts:
@@ -46,10 +44,6 @@ def parse_args(argv):
         if not sep or not label or label in args.roots:
             p.error(f"expected distinct LABEL=ROOT, got {item!r}")
         args.roots[label] = pathlib.Path(root).resolve()
-    args.workloads = args.workloads.split(",")
-    if not set(args.workloads) <= set(WORKLOADS):
-        p.error(f"unknown workload in {args.workloads}")
-    args.seeds = [int(s) for s in args.seeds.split(",")]
     return args
 
 
@@ -58,9 +52,9 @@ def src_lines(root: pathlib.Path) -> int:
                for path in sorted((root / "src" / "flmc").rglob("*.py")))
 
 
-def run_once(root: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: pathlib.Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
@@ -71,47 +65,47 @@ def run_once(root: pathlib.Path, workload: str, seed: int, seconds: float) -> di
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def summary(runs):
+    metrics = [k for k in runs[0]
+               if k not in ("seed", "correct", "attempted", "failed")]
+    return {"medians": {k: statistics.median(r[k] for r in runs)
+                        for k in metrics},
+            "correct": all(r["correct"] for r in runs),
+            "failed_share": (sum(r["failed"] for r in runs)
+                             / sum(r["attempted"] for r in runs)),
+            "runs": runs}
+
+
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     import numpy
 
     labels = list(args.roots)
-    runs = {label: {w: [] for w in args.workloads} for label in labels}
+    runs = {label: {w: [] for w in WORKLOADS} for label in labels}
     turn = 0
-    for workload in args.workloads:
-        for _ in range(args.repeats):
-            for seed in args.seeds:
+    for workload in WORKLOADS:
+        for _ in range(REPEATS):
+            for seed in SEEDS:
                 order = labels if turn % 2 == 0 else labels[::-1]
                 turn += 1
                 for label in order:
-                    run = run_once(args.roots[label], workload, seed, args.seconds)
+                    run = run_once(args.roots[label], workload, seed)
                     runs[label][workload].append(run)
                     print(f"bench: {label} {workload} seed {seed}: wall_s "
                           f"{run['wall_s']:.3f}", file=sys.stderr, flush=True)
 
-    def summary(rs):
-        metrics = [k for k in rs[0] if k not in ("seed", "correct",
-                                                 "attempted", "failed")]
-        return {"medians": {k: statistics.median(r[k] for r in rs)
-                            for k in metrics},
-                "correct": all(r["correct"] for r in rs),
-                "failed_share": (sum(r["failed"] for r in rs)
-                                 / sum(r["attempted"] for r in rs)),
-                "runs": rs}
-
     bench = {
         "pr": args.pr,
-        "command": (f"perfbench/run.py --trace 0 --seconds {args.seconds:g}, "
-                    f"seeds {args.seeds}, {args.repeats} repeat(s), "
-                    "checkouts taking turns"),
+        "command": (f"perfbench/run.py --trace 0 --seconds {SECONDS}, seeds "
+                    f"{list(SEEDS)}, {REPEATS} repeats, checkouts taking turns"),
         "numpy": numpy.__version__,
         "cores": os.cpu_count(),
         "checkouts": {label: {"src_lines": src_lines(args.roots[label]),
                               "workloads": {w: summary(runs[label][w])
-                                            for w in args.workloads}}
+                                            for w in WORKLOADS}}
                       for label in labels},
     }
-    out = pathlib.Path(args.out or f"BENCH_{args.pr}.json")
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     print(f"bench: wrote {out}", file=sys.stderr)

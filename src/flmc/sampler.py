@@ -19,7 +19,7 @@ import numpy as np
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
-from .stable import StableNoise, sas_chunks, sas_rows, vw_stream
+from .stable import StableNoise, sas_rows, vw_stream
 from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 
 __all__ = [
@@ -129,18 +129,18 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _increments(config: SamplerConfig, noise_rng, dim: int = 1):
-    """Step sizes eta_n and increments eta_n**(1/alpha) * L_n, yielded as
-    (etas, jumps) for _NOISE_CHUNK steps at a time, jumps of shape
-    (steps, dim) scaled in place: bit for bit the rows of the whole
-    (N, dim) block of SaS draws scaled by the whole etas column."""
-    N, alpha, rows = config.iterations, config.alpha, _NOISE_CHUNK
-    draws = sas_chunks(StableNoise(alpha, 1.0), N * dim, noise_rng, rows * dim)
-    for lo, L in zip(range(0, N, rows), draws):
-        etas = _eta_array(config.schedule, min(lo + rows, N), lo)
-        jumps = L.reshape(etas.size, dim)
-        jumps *= (etas ** (1.0 / alpha))[:, None]
-        yield etas, jumps
+def _increments(alpha: float, schedule: Schedule, draws, lo: int, m: int,
+                out: np.ndarray):
+    """Steps lo+1 .. lo+m of k chains that share alpha and schedule, chain i
+    drawing from draws[i], its vw_stream: their step sizes, an (m,) array,
+    and their increments eta_n**(1/alpha) * L_n, out's rows, a C-contiguous
+    (k, m * dim) array scaled in place. Row i is bit for bit rows lo ..
+    lo+m of chain i's whole (N, dim) block of SaS draws scaled by its whole
+    etas column."""
+    jumps = sas_rows(StableNoise(alpha, 1.0), draws, out)
+    etas = _eta_array(schedule, lo + m, lo)
+    jumps.reshape(len(draws), m, -1)[...] *= (etas ** (1.0 / alpha))[:, None]
+    return etas, jumps
 
 
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
@@ -200,10 +200,15 @@ def run_chain(config: SamplerConfig, target: Target,
     snapshots, steps = [], itertools.count(1)
     acc = {name: 0.0 for name in gs}
     H = 0.0
+    draw = vw_stream(noise_rng, N * D)
     try:
-        for etas, jumps in _increments(config, noise_rng, D):
+        for lo in range(0, N, _NOISE_CHUNK):
+            m = min(_NOISE_CHUNK, N - lo)
+            etas, jumps = _increments(config.alpha, config.schedule, [draw],
+                                      lo, m, np.empty((1, m * D)))
             # steps last: zip stops on the chunk's end before taking a count
-            for eta, jump, n in zip(memoryview(etas), rows(jumps), steps):
+            for eta, jump, n in zip(memoryview(etas),
+                                    rows(jumps.reshape(m, D)), steps):
                 x = x + eta * drift(x) + jump
                 if not size(x) <= _DIVERGENCE_BOUND:  # NaN and inf fail it too
                     raise ChainFailure(config.seed, n, x, "divergence")
@@ -281,7 +286,8 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     of each row. g and the target's potential and gradient must act
     elementwise on arrays, rounding as they do on Python floats. Each
     chain's noise comes _NOISE_CHUNK steps at a time from its own stream,
-    the chains of one alpha mapped by one stable transform per chunk.
+    the chains of one alpha and schedule mapped by one stable transform
+    per chunk.
     """
     if not configs:
         return []
@@ -310,10 +316,9 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
     draws = [vw_stream(_streams(c.seed)[0], N) for c in configs]
-    by_alpha = {a: [r for r, c in enumerate(configs) if c.alpha == a]
-                for a in dict.fromkeys(c.alpha for c in configs)}
-    scheds = [c.schedule for c in configs]
-    pairs = {(c.schedule, c.alpha) for c in configs}
+    groups = {}  # chains that share alpha and schedule share their scaling
+    for r, c in enumerate(configs):
+        groups.setdefault((c.alpha, c.schedule), []).append(r)
     C = min(_NOISE_CHUNK, N)
     etas, jumps, X = np.empty((3, C, R))
     out, live = [None] * R, np.ones(R, dtype=bool)
@@ -327,19 +332,15 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
             E, J, Xm = etas[:m], jumps[:m], X[:m]
             # a failed row draws no more noise and idles at 0 on zeroed
             # columns, unread
-            etas_of = {s: _eta_array(s, lo + m, lo) for s in set(scheds)}
-            scale_of = {(s, a): etas_of[s] ** (1.0 / a) for s, a in pairs}
-            for alpha, rows in by_alpha.items():
+            for (alpha, schedule), rows in groups.items():
                 rows = [r for r in rows if live[r]]
                 if not rows:
                     continue
                 # the draws go through X, free until the steps
-                L = sas_rows(StableNoise(alpha, 1.0), [draws[r] for r in rows],
-                             X.reshape(-1)[:len(rows) * m].reshape(-1, m))
-                for r, jump_r in zip(rows, L):
-                    E[:, r] = etas_of[scheds[r]]
-                    jump_r *= scale_of[scheds[r], alpha]
-                J[:, rows] = L.T
+                eta, L = _increments(alpha, schedule, [draws[r] for r in rows],
+                                     lo, m,
+                                     X.reshape(-1)[:len(rows) * m].reshape(-1, m))
+                E[:, rows], J[:, rows] = eta[:, None], L.T
             for n, eta, jump, xn in zip(itertools.count(lo + 1), E, J, Xm):
                 b, ell_star = drift(x)
                 if ell_star is not None and not np.isfinite(b).all():

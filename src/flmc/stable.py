@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StableNoise", "sample_sas_vector", "sas_chunks", "sas_rows",
-           "vw_stream"]
+__all__ = ["StableNoise", "sample_sas_vector", "sas_rows", "vw_stream"]
 
 # V draws this close to +-pi/2 would underflow cos(V); clamping them in place
 # keeps the stream's layout and changes the law by a ~1e-10 probability event.
 _V_EDGE = np.pi / 2 - 1e-10
-_CHUNK = 1 << 13  # draws per chunk of the (V, W) -> SaS map
+_CHUNK = 1 << 16  # draws per chunk of the (V, W) -> SaS map
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,3 @@ def sas_rows(noise: StableNoise, draws, out: np.ndarray) -> np.ndarray:
     for draw, v, w in zip(draws, out, W):
         v[:], w[:] = draw(out.shape[1])
     return _transform(noise, out.reshape(-1), W.reshape(-1)).reshape(out.shape)
-
-
-def sas_chunks(noise: StableNoise, size: int, rng: np.random.Generator,
-               chunk: int):
-    """sample_sas_vector(noise, size, rng) in consecutive pieces of at most
-    `chunk` draws, bit for bit, with one piece drawn at a time."""
-    draw = vw_stream(rng, size)
-    for lo in range(0, size, chunk):
-        yield _transform(noise, *draw(min(chunk, size - lo)))

@@ -18,7 +18,7 @@ from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, _increments, _streams, repeat_seeds,
                           run_chain, run_ensemble, summarize_repeats)
-from flmc.stable import StableNoise, sample_sas_vector
+from flmc.stable import StableNoise, sample_sas_vector, vw_stream
 from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
                           gaussian_target, sg_gradient, synthetic_mf_target)
 
@@ -625,12 +625,16 @@ def _whole_block(config, dim):
 
 
 def _chunked_block(config, dim, rows):
-    with mock.patch.object(sampler, "_NOISE_CHUNK", rows):
-        chunks = list(_increments(config, _streams(config.seed)[0], dim))
+    # the increments as run_chain draws them, `rows` steps at a time
     N = config.iterations
-    assert [e.size for e, _ in chunks] == [min(rows, N - lo)
-                                           for lo in range(0, N, rows)]
-    assert all(j.shape == (e.size, dim) for e, j in chunks)
+    draw = vw_stream(_streams(config.seed)[0], N * dim)
+    chunks = []
+    for lo in range(0, N, rows):
+        m = min(rows, N - lo)
+        etas, jumps = _increments(config.alpha, config.schedule, [draw],
+                                  lo, m, np.empty((1, m * dim)))
+        assert etas.shape == (m,) and jumps.shape == (1, m * dim)
+        chunks.append((etas, jumps.reshape(m, dim)))
     return (np.concatenate([e for e, _ in chunks]),
             np.concatenate([j for _, j in chunks]))
 

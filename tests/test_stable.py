@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from scipy import stats
 from flmc import sampler, stable
 from flmc.drift import Simplified
 from flmc.sampler import Constant, SamplerConfig, run_ensemble
-from flmc.stable import (StableNoise, sample_sas_vector, sas_chunks, sas_rows,
+from flmc.stable import (StableNoise, sample_sas_vector, sas_rows,
                          vw_stream)
 from flmc.targets import double_well_target
 
@@ -187,8 +188,15 @@ def test_transform_clamps_v_at_pi_over_2(alpha):
     assert np.all(np.isfinite(at_pi))
 
 
+def _stream(noise, size, rng, chunk):
+    # one stream in pieces of at most `chunk` draws, as run_chain takes it
+    draw = vw_stream(rng, size)
+    for lo in range(0, size, chunk):
+        yield sas_rows(noise, [draw], np.empty((1, min(chunk, size - lo))))[0]
+
+
 def _pieces(noise, size, seed, chunk):
-    pieces = list(sas_chunks(noise, size, np.random.default_rng(seed), chunk))
+    pieces = list(_stream(noise, size, np.random.default_rng(seed), chunk))
     assert [p.size for p in pieces] == [min(chunk, size - lo)
                                         for lo in range(0, size, chunk)]
     return np.concatenate(pieces)
@@ -216,7 +224,7 @@ def test_chunks_fall_back_to_whole_block_at_an_edge(monkeypatch, edge, chunk):
     monkeypatch.setattr(stable, "_V_EDGE", edge)
 
     def no_whole_block(*args):
-        raise AssertionError("sas_chunks drew the whole block")
+        raise AssertionError("the stream drew the whole block")
 
     monkeypatch.setattr(stable, "sample_sas_vector", no_whole_block)
     noise, size, seed = StableNoise(1.5, 1.3), 1000, 11
@@ -235,7 +243,7 @@ def test_chunks_hold_one_piece_at_an_edge(monkeypatch):
     V = np.random.default_rng(5).uniform(-np.pi / 2, np.pi / 2, size)
     assert np.count_nonzero(np.abs(V) > 1.5707) > 10
     del V
-    stream = sas_chunks(StableNoise(1.7), size, np.random.default_rng(5), chunk)
+    stream = _stream(StableNoise(1.7), size, np.random.default_rng(5), chunk)
     tracemalloc.start()
     try:
         for piece in stream:
@@ -266,7 +274,7 @@ def test_stacked_transform_equals_row_transforms(alpha, k, m, seed, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
 def test_stacked_rows_equal_each_streams_pieces(chunk):
-    # sas_rows over several vw_streams gives each stream's sas_chunks pieces
+    # sas_rows over several vw_streams gives each stream's one-row pieces
     noise, size, seeds = StableNoise(1.5, 1.3), 1000, (3, 4, 5)
     draws = [vw_stream(np.random.default_rng(s), size) for s in seeds]
     blocks = [sas_rows(noise, draws, np.empty((len(seeds), min(chunk, size - lo))))
@@ -277,8 +285,9 @@ def test_stacked_rows_equal_each_streams_pieces(chunk):
 
 
 def test_ensemble_transforms_once_per_alpha_per_chunk(monkeypatch):
-    # 3 chains at each of 3 alphas, 17 steps in 7-step chunks: one
-    # transform per alpha per chunk, over all of that alpha's chains
+    # 3 chains at each of 3 alphas on one schedule, 17 steps in 7-step
+    # chunks: one transform per alpha per chunk, over all of that alpha's
+    # chains
     calls, transform = [], stable._transform
 
     def spy(noise, V, W):
@@ -294,3 +303,9 @@ def test_ensemble_transforms_once_per_alpha_per_chunk(monkeypatch):
     outcomes = run_ensemble(cfgs, double_well_target(), lambda x: x)
     assert all(isinstance(v, float) for v in outcomes)
     assert calls == [(a, 3 * m) for m in (7, 7, 3) for a in alphas]
+    # chains of one alpha on two schedules: one transform per schedule
+    calls.clear()
+    cfgs = [replace(c, schedule=Constant(eta)) for c in cfgs[:2]
+            for eta in (0.002, 0.001)]
+    run_ensemble(cfgs, double_well_target(), lambda x: x)
+    assert calls == [(a, m) for m in (7, 7, 3) for a in (1.5, 1.5, 2.0, 2.0)]
