@@ -19,7 +19,7 @@ import numpy as np
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
-from .stable import StableNoise, sas_rows, vw_stream
+from .stable import StableNoise, sas_piece, sas_rows, vw_stream
 from .targets import Minibatch, Target, draw_minibatch, sg_gradient
 
 __all__ = [
@@ -129,18 +129,16 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _increments(alpha: float, schedule: Schedule, draws, lo: int, m: int,
-                out: np.ndarray):
-    """Steps lo+1 .. lo+m of k chains that share alpha and schedule, chain i
-    drawing from draws[i], its vw_stream: their step sizes, an (m,) array,
-    and their increments eta_n**(1/alpha) * L_n, out's rows, a C-contiguous
-    (k, m * dim) array scaled in place. Row i is bit for bit rows lo ..
-    lo+m of chain i's whole (N, dim) block of SaS draws scaled by its whole
-    etas column."""
-    jumps = sas_rows(StableNoise(alpha, 1.0), draws, out)
+def _increments(alpha: float, schedule: Schedule, L: np.ndarray, lo: int,
+                m: int):
+    """Step sizes of steps lo+1 .. lo+m, an (m,) array, and the increments
+    eta_n**(1/alpha) * L_n of k chains that share alpha and schedule: L, a
+    C-contiguous (k, m * dim) block of their SaS draws, scaled in place.
+    Row i is bit for bit rows lo .. lo+m of chain i's whole (N, dim) block
+    of SaS draws scaled by its whole etas column."""
     etas = _eta_array(schedule, lo + m, lo)
-    jumps.reshape(len(draws), m, -1)[...] *= (etas ** (1.0 / alpha))[:, None]
-    return etas, jumps
+    L.reshape(L.shape[0], m, -1)[...] *= (etas ** (1.0 / alpha))[:, None]
+    return etas, L
 
 
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
@@ -200,12 +198,12 @@ def run_chain(config: SamplerConfig, target: Target,
     snapshots, steps = [], itertools.count(1)
     acc = {name: 0.0 for name in gs}
     H = 0.0
-    draw = vw_stream(noise_rng, N * D)
+    noise, draw = StableNoise(config.alpha, 1.0), vw_stream(noise_rng, N * D)
     try:
         for lo in range(0, N, _NOISE_CHUNK):
             m = min(_NOISE_CHUNK, N - lo)
-            etas, jumps = _increments(config.alpha, config.schedule, [draw],
-                                      lo, m, np.empty((1, m * D)))
+            etas, jumps = _increments(config.alpha, config.schedule,
+                                      sas_piece(noise, draw, m * D)[None], lo, m)
             # steps last: zip stops on the chunk's end before taking a count
             for eta, jump, n in zip(memoryview(etas),
                                     rows(jumps.reshape(m, D)), steps):
@@ -337,9 +335,9 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                 if not rows:
                     continue
                 # the draws go through X, free until the steps
-                eta, L = _increments(alpha, schedule, [draws[r] for r in rows],
-                                     lo, m,
-                                     X.reshape(-1)[:len(rows) * m].reshape(-1, m))
+                L = sas_rows(StableNoise(alpha, 1.0), [draws[r] for r in rows],
+                             X.reshape(-1)[:len(rows) * m].reshape(-1, m))
+                eta, L = _increments(alpha, schedule, L, lo, m)
                 E[:, rows], J[:, rows] = eta[:, None], L.T
             for n, eta, jump, xn in zip(itertools.count(lo + 1), E, J, Xm):
                 b, ell_star = drift(x)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["StableNoise", "sample_sas_vector", "sas_rows", "vw_stream"]
+__all__ = ["StableNoise", "sample_sas_vector", "sas_piece", "sas_rows",
+           "vw_stream"]
 
 # V draws this close to +-pi/2 would underflow cos(V); clamping them in place
 # keeps the stream's layout and changes the law by a ~1e-10 probability event.
@@ -98,6 +99,11 @@ def vw_stream(rng: np.random.Generator, size: int):
     w_rng = np.random.Generator(bits)
     return lambda m: (rng.uniform(-np.pi / 2, np.pi / 2, m),
                       w_rng.standard_exponential(m))
+
+
+def sas_piece(noise: StableNoise, draw, m: int) -> np.ndarray:
+    """The next m draws of one vw_stream draw, mapped where they were drawn."""
+    return _transform(noise, *draw(m))
 
 
 def sas_rows(noise: StableNoise, draws, out: np.ndarray) -> np.ndarray:

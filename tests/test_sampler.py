@@ -18,7 +18,7 @@ from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, _increments, _streams, repeat_seeds,
                           run_chain, run_ensemble, summarize_repeats)
-from flmc.stable import StableNoise, sample_sas_vector, vw_stream
+from flmc.stable import StableNoise, sample_sas_vector, sas_piece, vw_stream
 from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
                           gaussian_target, sg_gradient, synthetic_mf_target)
 
@@ -590,6 +590,25 @@ def test_ensemble_noise_is_held_a_chunk_at_a_time():
     assert peak < 4e6
 
 
+def test_vector_chain_maps_its_noise_where_drawn():
+    # a 500-D chain of one 1 024-step chunk draws 512 000 V and as many W,
+    # 4.1 MB each, and maps them in place: copying either into another
+    # block would take a third 4.1 MB
+    cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                        schedule=Constant(0.002), iterations=1024, seed=0,
+                        initial_state=np.zeros(500), record_stride=1024)
+    target = gaussian_target(np.zeros(500), 1.0)
+    run_chain(replace(cfg, iterations=10), target)  # first-call caches
+    tracemalloc.start()
+    try:
+        run_chain(cfg, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    piece = 1024 * 500 * 8
+    assert peak < 3 * piece
+
+
 def test_trajectory_is_recorded_into_arrays():
     # a stride-1 1-D chain of 50 000 steps keeps 1.2 MB (states, iterations,
     # etas); a list of recorded Python floats, then its array, took over
@@ -626,13 +645,13 @@ def _whole_block(config, dim):
 
 def _chunked_block(config, dim, rows):
     # the increments as run_chain draws them, `rows` steps at a time
-    N = config.iterations
+    N, noise = config.iterations, StableNoise(config.alpha, 1.0)
     draw = vw_stream(_streams(config.seed)[0], N * dim)
     chunks = []
     for lo in range(0, N, rows):
         m = min(rows, N - lo)
-        etas, jumps = _increments(config.alpha, config.schedule, [draw],
-                                  lo, m, np.empty((1, m * dim)))
+        etas, jumps = _increments(config.alpha, config.schedule,
+                                  sas_piece(noise, draw, m * dim)[None], lo, m)
         assert etas.shape == (m,) and jumps.shape == (1, m * dim)
         chunks.append((etas, jumps.reshape(m, dim)))
     return (np.concatenate([e for e, _ in chunks]),

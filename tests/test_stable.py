@@ -15,8 +15,8 @@ from scipy import stats
 from flmc import sampler, stable
 from flmc.drift import Simplified
 from flmc.sampler import Constant, SamplerConfig, run_ensemble
-from flmc.stable import (StableNoise, sample_sas_vector, sas_rows,
-                         vw_stream)
+from flmc.stable import (StableNoise, sample_sas_vector, sas_piece,
+                         sas_rows, vw_stream)
 from flmc.targets import double_well_target
 
 
@@ -192,7 +192,7 @@ def _stream(noise, size, rng, chunk):
     # one stream in pieces of at most `chunk` draws, as run_chain takes it
     draw = vw_stream(rng, size)
     for lo in range(0, size, chunk):
-        yield sas_rows(noise, [draw], np.empty((1, min(chunk, size - lo))))[0]
+        yield sas_piece(noise, draw, min(chunk, size - lo))
 
 
 def _pieces(noise, size, seed, chunk):
