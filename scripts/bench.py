@@ -11,7 +11,10 @@ so a drift in the machine's speed favours none of them. BENCH_<pr>.json,
 written at the root of this checkout, holds per checkout the median of
 each end-to-end metric over its runs of a workload, the runs themselves,
 the line count of its src/flmc, and the numpy version and core count the
-runs saw.
+runs saw. Run k of each checkout on a workload forms one pair, the runs of
+one seed and one turn; for each checkout after the first, `pairs_won`
+counts per workload and metric the pairs whose run beat the first
+checkout's, strictly, in the direction BENCHMARK.json gives the metric.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 SECONDS = BENCHMARK["run_seconds"]
+LOWER_IS_BETTER = {m["name"]: m["better"] == "lower"
+                   for m in BENCHMARK["end_to_end"]}
 SEEDS = (1, 7)
 REPEATS = 5  # times SEEDS: ten runs a side per workload
 
@@ -76,6 +81,13 @@ def summary(runs):
             "runs": runs}
 
 
+def pairs_won(runs, first_runs):
+    """Per metric, the pairs in which `runs` beat `first_runs`."""
+    return {k: sum((r[k] < f[k]) if lower else (r[k] > f[k])
+                   for r, f in zip(runs, first_runs, strict=True))
+            for k, lower in LOWER_IS_BETTER.items()}
+
+
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     import numpy
@@ -104,7 +116,15 @@ def main(argv=None) -> int:
                               "workloads": {w: summary(runs[label][w])
                                             for w in WORKLOADS}}
                       for label in labels},
+        "pairs": REPEATS * len(SEEDS),
+        "pairs_won_against": labels[0],
     }
+    for label in labels[1:]:
+        for w in WORKLOADS:
+            won = pairs_won(runs[label][w], runs[labels[0]][w])
+            bench["checkouts"][label]["workloads"][w]["pairs_won"] = won
+            print(f"bench: {label} against {labels[0]} on {w}, pairs won of "
+                  f"{bench['pairs']}: {won}", file=sys.stderr)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")

@@ -46,12 +46,14 @@ _KAPPA_ROWS = 16
 
 
 class DriftOverflowError(ArithmeticError):
-    """The drift at x overflows: its factored exponent, or U'(x) itself."""
+    """The drift at x overflows: its factored exponent, or U'(x) itself.
+    where, if given, names the location in the message in place of x."""
 
-    def __init__(self, x, ell_star):
+    def __init__(self, x, ell_star, where=None):
         self.x = x
         self.ell_star = ell_star
-        super().__init__(f"drift overflow at x={x!r}: exponent {ell_star!r}")
+        super().__init__(f"drift overflow at {where or f'x={x!r}'}: "
+                         f"exponent {ell_star!r}")
 
 
 class UndefinedDiagnosticError(ValueError):
@@ -220,6 +222,8 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
             np.abs(e - e_hat[:, None]), axis=1)
     skipped = np.isnan(per_point)
     if skipped.all():
-        raise DriftOverflowError(grid, math.inf)
+        raise DriftOverflowError(grid, math.inf, (
+            f"all {grid.size} grid points, x in "
+            f"[{float(grid.min())!r}, {float(grid.max())!r}]"))
     return KappaResult(float(np.mean(per_point[~skipped])), per_point,
                        int(skipped.sum()))

@@ -3,7 +3,7 @@
 One step is X_n = X_{n-1} + eta_n * drift(X_{n-1}) + eta_n**(1/alpha) * L_n
 with L_n a standard SaS(alpha) vector, written once for 1-D and vector
 states; the weighted running average (1/H_N) sum_n eta_n g(X_n) estimates
-E_pi[g]. A chain's noise is drawn a chunk of steps at a time. run_ensemble
+E_pi[g]. A chain's noise is drawn a piece of steps at a time. run_ensemble
 steps many 1-D chains in lockstep, each bitwise equal to its run_chain.
 """
 
@@ -16,6 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from . import stable
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
@@ -35,7 +36,7 @@ __all__ = [
 ]
 
 _DIVERGENCE_BOUND = 1e12
-_NOISE_CHUNK = 1024  # steps of noise a chain holds at a time
+_NOISE_CHUNK = 1024  # most steps of noise a chain holds at a time
 
 
 @dataclass(frozen=True)
@@ -167,11 +168,13 @@ def run_chain(config: SamplerConfig, target: Target,
               snapshot_estimates: bool = False) -> Trace:
     """Run the configured number of steps and accumulate the estimators.
 
-    The noise is drawn from the noise substream _NOISE_CHUNK steps at a
-    time (identical in law to per-step draws, and bit for bit the rows of
-    one whole-chain block). Estimator accumulators update on every step
-    with the post-update state; the record stride only thins the stored
-    trajectory, which is written into an array sized up front.
+    The noise is drawn from the noise substream a piece at a time, of at
+    most _NOISE_CHUNK steps and at most stable._CHUNK draws (one step at
+    least), so a chain's noise memory is bounded in draws whatever its
+    dimension; each piece is bit for bit its rows of one whole-chain block.
+    Estimator accumulators update on every step with the post-update
+    state; the record stride only thins the stored trajectory, which is
+    written into an array sized up front.
     """
     if config.minibatch_size is not None and target.data_size <= 0:
         raise ValueError("minibatch configured but target has no data terms")
@@ -199,12 +202,13 @@ def run_chain(config: SamplerConfig, target: Target,
     acc = {name: 0.0 for name in gs}
     H = 0.0
     noise, draw = StableNoise(config.alpha, 1.0), vw_stream(noise_rng, N * D)
+    piece = min(_NOISE_CHUNK, max(1, stable._CHUNK // D))
     try:
-        for lo in range(0, N, _NOISE_CHUNK):
-            m = min(_NOISE_CHUNK, N - lo)
+        for lo in range(0, N, piece):
+            m = min(piece, N - lo)
             etas, jumps = _increments(config.alpha, config.schedule,
                                       sas_piece(noise, draw, m * D)[None], lo, m)
-            # steps last: zip stops on the chunk's end before taking a count
+            # steps last: zip stops on the piece's end before taking a count
             for eta, jump, n in zip(memoryview(etas),
                                     rows(jumps.reshape(m, D)), steps):
                 x = x + eta * drift(x) + jump

@@ -162,7 +162,10 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
     def prior_grad(x):
         return x.copy()
 
+    gathers = np.empty((2, 0, L))  # A[ii, :] and B[:, jj].T of the last batch
+
     def loglik_batch(x, indices):
+        nonlocal gathers
         # sum over selected observations of d/dx [0.5*(Y_e - (AB)_e)^2].
         # bincount adds each weight into its bin in order of appearance,
         # starting from 0.0, so repeated entries (with-replacement batches)
@@ -170,13 +173,20 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
         # latent column.
         A, B = split(x)
         ii, jj = ti[indices], tj[indices]
-        Ag, Bg = A[ii, :], B[:, jj]
-        neg_resid = -(y_train[indices] - np.einsum("ij,ji->i", Ag, Bg))
+        # the (b, L) gathers go into buffers kept across calls of one batch
+        # length: fresh ones this large are mapped and faulted in per call.
+        # Bg holds B[:, jj] row by row, the layout einsum sums along; take
+        # writes out directly only with an index mode other than "raise"
+        if gathers.shape[1] != ii.size:
+            gathers = np.empty((2, ii.size, L))
+        Ag = np.take(A, ii, axis=0, out=gathers[0], mode="wrap")
+        Bg = np.take(B.T, jj, axis=0, out=gathers[1], mode="wrap")
+        neg_resid = -(y_train[indices] - np.einsum("ij,ij->i", Ag, Bg))
         out = np.empty(dim)
         gA = out[: I * L].reshape(I, L)
         gB = out[I * L :].reshape(L, J)
         for l in range(L):
-            gA[:, l] = np.bincount(ii, weights=neg_resid * Bg[l], minlength=I)
+            gA[:, l] = np.bincount(ii, weights=neg_resid * Bg[:, l], minlength=I)
             gB[l] = np.bincount(jj, weights=neg_resid * Ag[:, l], minlength=J)
         return out
 

@@ -746,6 +746,16 @@ def test_kappa_all_overflow_grid_exits_one_without_warnings(tmp_path, capsys):
     assert not (tmp_path / "kappa.csv").exists()
 
 
+def test_kappa_all_overflow_detail_names_count_and_range(tmp_path, capsys):
+    # the diagnostic names the grid by its size and range, not by the repr
+    # of its 5 000 points
+    assert _kappa_at(tmp_path, "1e300", "2e300", "5000") == 1
+    diag = json.loads(capsys.readouterr().out)
+    assert diag["error"] == "DriftOverflowError"
+    assert diag["detail"] == ("drift overflow at all 5000 grid points, "
+                              "x in [1e+300, 2e+300]: exponent inf")
+
+
 def test_outdir_env_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("FLMC_OUTDIR", str(tmp_path))
     assert main(["kappa", "--alpha", "1.8", "--k-star", "20", "--grid-n", "5",

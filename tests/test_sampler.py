@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -591,9 +591,12 @@ def test_ensemble_noise_is_held_a_chunk_at_a_time():
 
 
 def test_vector_chain_maps_its_noise_where_drawn():
-    # a 500-D chain of one 1 024-step chunk draws 512 000 V and as many W,
-    # 4.1 MB each, and maps them in place: copying either into another
-    # block would take a third 4.1 MB
+    # a 500-D chain of 1 024 steps draws its noise in pieces of at most
+    # stable._CHUNK (65 536) draws: 131 steps, 65 500 V and as many W,
+    # 0.52 MB each. A piece is mapped in place, through the transform's two
+    # chunk-sized temporaries, while the previous piece's increments are
+    # still held: about 5 pieces. Copying a piece into another block would
+    # take a sixth; drawing the chain's whole block at once took 18
     cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
                         schedule=Constant(0.002), iterations=1024, seed=0,
                         initial_state=np.zeros(500), record_stride=1024)
@@ -605,8 +608,8 @@ def test_vector_chain_maps_its_noise_where_drawn():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    piece = 1024 * 500 * 8
-    assert peak < 3 * piece
+    piece = stable._CHUNK * 8
+    assert peak < 6 * piece
 
 
 def test_trajectory_is_recorded_into_arrays():
@@ -690,19 +693,29 @@ def test_chunked_increments_edge_fallback(monkeypatch, rows, dim):
 @settings(max_examples=40, deadline=None)
 @given(case=st.tuples(st.sampled_from(sorted({"double-well", "gaussian-3d", "mf"})),
                       st.integers(0, 2**32 - 1), st.integers(1, 90),
-                      st.integers(1, 20), st.sampled_from((1, 7, 32))))
+                      st.integers(1, 20), st.sampled_from((1, 7, 32)),
+                      st.sampled_from((None, "below-dim", "off-multiple"))))
+@example(case=("gaussian-3d", 5, 90, 7, 32, "below-dim"))
+@example(case=("gaussian-3d", 5, 90, 7, 32, "off-multiple"))
+@example(case=("mf", 6, 90, 7, 32, "below-dim"))
+@example(case=("mf", 6, 90, 7, 32, "off-multiple"))
 def test_run_chain_chunks_move_no_bit(case):
     # run_chain against the whole-block reference with the chain's noise
-    # split at 1, 7 or 32 steps
-    name, seed, iterations, stride, chunk = case
+    # split at 1, 7 or 32 steps, and at a draw budget (stable._CHUNK) below
+    # the dimension, which gives 1-step pieces, or at 2 * dim + 1 draws,
+    # which gives 2-step pieces that leave draws of the budget unused
+    name, seed, iterations, stride, chunk, budget = case
     target = _REFERENCE_TARGETS[name]
+    budget = {None: stable._CHUNK, "below-dim": max(1, target.dim // 2),
+              "off-multiple": 2 * target.dim + 1}[budget]
     cfg = SamplerConfig(alpha=1.6, drift_spec=Simplified(),
                         schedule=Polynomial(1e-3, 0.6), iterations=iterations,
                         seed=seed, initial_state=np.zeros(target.dim)
                         if target.dim > 1 else -3.6, record_stride=stride,
                         minibatch_size=4 if name == "mf" else None)
     gs = {"x": lambda x: x}
-    with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+    with (mock.patch.object(sampler, "_NOISE_CHUNK", chunk),
+          mock.patch.object(stable, "_CHUNK", budget)):
         got = _chain_run(cfg, target, gs, True)
     assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, gs, True))
 

@@ -1,10 +1,15 @@
 """Potential/gradient consistency and minibatch-gradient contracts."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import flmc
 from flmc.targets import (Minibatch, double_well, double_well_grad,
                           double_well_stationary_points, double_well_target,
                           draw_minibatch, gaussian_target, sg_gradient,
@@ -176,6 +181,53 @@ def test_loglik_batch_equals_sequential_scatter(I, J, L, seed, log_scale,
            else draw_minibatch(t.data_size, n_omega, rng).indices)
     got = t.loglik_batch(x, idx)
     assert got.tobytes() == _add_at_loglik_batch(t, x, idx).tobytes()
+
+
+def test_loglik_batch_reuses_no_stale_buffer():
+    # one target across batch lengths 1, N_Y, 4, N_Y, 4: its gather buffers
+    # are kept between calls of one length and replaced on a change, and
+    # every result is its own array
+    t = synthetic_mf_target(7, 6, 3, seed=4)
+    rng = np.random.default_rng(29)
+    got, want = [], []
+    for size in (1, t.data_size, 4, t.data_size, 4):
+        x = rng.standard_normal(t.dim)
+        idx = (np.arange(t.data_size) if size == t.data_size
+               else draw_minibatch(t.data_size, size, rng).indices)
+        got.append(t.loglik_batch(x, idx))
+        want.append(_add_at_loglik_batch(t, x, idx).tobytes())
+        assert got[-1].tobytes() == want[-1]
+    assert [g.tobytes() for g in got] == want
+
+
+_FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from flmc.targets import draw_minibatch, sg_gradient, synthetic_mf_target
+t = synthetic_mf_target(200, 200, 10)
+rng = np.random.default_rng(31)
+x = rng.standard_normal(t.dim)
+n_omega = t.data_size // 10
+for _ in range(5):
+    sg_gradient(t, x, draw_minibatch(t.data_size, n_omega, rng))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    sg_gradient(t, x, draw_minibatch(t.data_size, n_omega, rng))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_minibatch_gradient_does_not_fault_per_call():
+    # 200 warm 10% minibatch gradients reuse their (b, L) gathers. Fresh
+    # 288 KB gathers sit above glibc's default 128 KB mmap threshold: each
+    # call maps and faults them in, about 142 minor page faults. glibc
+    # raises the threshold after a larger mapped block is freed, so the
+    # loop runs in a fresh interpreter with the default pinned
+    env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
+               PYTHONPATH=os.path.dirname(os.path.dirname(flmc.__file__)))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(done.stdout.splitlines()[-1]) < 10 * 200
 
 
 def test_sg_gradient_unbiased(mf):
