@@ -9,7 +9,8 @@ checkout and workload, from that checkout's root and with its own
 perfbench. The checkouts take turns, each next run reversing their order,
 so a drift in the machine's speed favours none of them. BENCH_<pr>.json,
 written at the root of this checkout, holds per checkout the median of
-each end-to-end metric over its runs of a workload, the runs themselves,
+each end-to-end metric over its runs of a workload and beside it their
+interquartile range (inclusive quartiles), the runs themselves,
 the line count of its src/flmc, and the numpy version and core count the
 runs saw. Run k of each checkout on a workload forms one pair, the runs of
 one seed and one turn; for each checkout after the first, `pairs_won`
@@ -70,11 +71,17 @@ def run_once(root: pathlib.Path, workload: str, seed: int) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def iqr(values) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def summary(runs):
     metrics = [k for k in runs[0]
                if k not in ("seed", "correct", "attempted", "failed")]
     return {"medians": {k: statistics.median(r[k] for r in runs)
                         for k in metrics},
+            "iqrs": {k: iqr([r[k] for r in runs]) for k in metrics},
             "correct": all(r["correct"] for r in runs),
             "failed_share": (sum(r["failed"] for r in runs)
                              / sum(r["attempted"] for r in runs)),

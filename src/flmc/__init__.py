@@ -13,14 +13,14 @@ from .riesz import build_stencil, c_alpha, coeff, truncated_centered_difference
 from .sampler import (Constant, Polynomial, SamplerConfig, Trace, run_chain,
                       run_ensemble)
 from .stable import StableNoise, sample_sas_vector
-from .targets import (Minibatch, Target, double_well_target, gaussian_target,
-                      sg_gradient, synthetic_mf_target)
+from .targets import (Target, double_well_target, gaussian_target, sg_gradient,
+                      synthetic_mf_target)
 
 __all__ = [
     "__version__",
     "StableNoise", "sample_sas_vector",
     "build_stencil", "c_alpha", "coeff", "truncated_centered_difference",
-    "Target", "Minibatch", "double_well_target", "gaussian_target",
+    "Target", "double_well_target", "gaussian_target",
     "synthetic_mf_target", "sg_gradient",
     "Simplified", "FullCentered", "full_drift", "kappa",
     "SamplerConfig", "Polynomial", "Constant", "Trace",

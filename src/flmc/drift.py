@@ -87,7 +87,7 @@ def _scaled_terms(target: Target, x: np.ndarray, steps: np.ndarray,
                   weights: np.ndarray):
     """Signed stencil terms of each state x[r], its max exponent factored out.
 
-    steps (offsets times h) and weights are one (2K+1,) stencil shared by
+    steps and weights (RieszStencil's) are one (2K+1,) stencil shared by
     every row or an (R, 2K+1) table with a row per state. Returns ell_star
     (R,) and terms (R, 2K+1) in the stencil's node order; row r's drift is
     exp(ell_star[r]) / h_r**gamma times its term sum. ell_star is +inf
@@ -141,8 +141,7 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
     st = build_stencil(gamma, spec.h, spec.K)
     with np.errstate(all="ignore"):  # raised below as DriftOverflowError
         b, ell_star = full_drift_rows(target, np.array([float(x)]),
-                                      st.offsets * st.h, st.weights,
-                                      st.h**st.gamma)
+                                      st.steps, st.weights, st.h_gamma)
     if not math.isfinite(b[0]):
         raise DriftOverflowError(x, float(ell_star[0]))
     return float(b[0])
@@ -166,7 +165,7 @@ def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> 
         raise UndefinedDiagnosticError(f"U'(x) = 0 at x={x!r}")
     stencil = build_stencil(gamma, h, K_x)
     ell_star, terms = _scaled_terms(target, np.array([float(x)]),
-                                    stencil.offsets * stencil.h, stencil.weights)
+                                    stencil.steps, stencil.weights)
     s = float(ascending_sum(terms)[0])
     if s == 0.0:
         return math.inf
@@ -192,7 +191,7 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     pair at a time, b* = b_{K_star}, e(K) = |b_K - b*|, e_hat = |b_hat - b*|
     for the simplified drift b_hat, and kappa = the smallest K minimizing
     |e(K) - e_hat|. Grid points where the drift overflows are skipped and
-    counted.
+    counted, with one warning per call naming their count and range.
     """
     gamma = _check_alpha(alpha)
     if not (1.0 < alpha < 2.0):
@@ -206,13 +205,9 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     for lo in range(0, grid.size, _KAPPA_ROWS):
         xs = grid[lo:lo + _KAPPA_ROWS]
         with np.errstate(all="ignore"):  # overflowing points are skipped below
-            ell_star, terms = _scaled_terms(target, xs, st.offsets * st.h,
-                                            st.weights)
+            ell_star, terms = _scaled_terms(target, xs, st.steps, st.weights)
         ok = ell_star <= _EXP_MAX
-        for x, ell in zip(xs[~ok].tolist(), ell_star[~ok].tolist()):
-            log.warning("kappa: skipping grid point %r (drift overflow, "
-                        "exponent %r)", x, ell)
-        scale = np.array([math.exp(e) for e in ell_star[ok].tolist()]) / h**gamma
+        scale = np.array([math.exp(e) for e in ell_star[ok].tolist()]) / st.h_gamma
         t = terms[ok]  # nodes run 0, -1, +1, -2, +2, ...: b[:, K-1] = b_K
         b = scale[:, None] * (t[:, :1] + np.cumsum(t[:, 1::2] + t[:, 2::2], axis=1))
         b_hat = np.array([-ca * float(target.gradient(x)) for x in xs[ok].tolist()])
@@ -225,5 +220,9 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
         raise DriftOverflowError(grid, math.inf, (
             f"all {grid.size} grid points, x in "
             f"[{float(grid.min())!r}, {float(grid.max())!r}]"))
+    if skipped.any():
+        log.warning("kappa: drift overflow at %d of %d grid points, x in "
+                    "[%r, %r]: skipped", skipped.sum(), grid.size,
+                    float(grid[skipped].min()), float(grid[skipped].max()))
     return KappaResult(float(np.mean(per_point[~skipped])), per_point,
                        int(skipped.sum()))

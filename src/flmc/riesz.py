@@ -77,8 +77,10 @@ class RieszStencil:
     """The 2K+1 nodes of D_{h,K}^gamma, in centre-outward order.
 
     coeffs[k] = g_{gamma,k} for k = 0..K; offsets = 0, -1, +1, -2, +2, ...
-    place node i at x - offsets[i]*h; weights = coeffs[|offsets|]. The arrays
-    are read-only because build_stencil hands one instance to every caller.
+    place node i at x - steps[i], steps = offsets*h; weights =
+    coeffs[|offsets|]; h_gamma = h**gamma divides the weighted sum. The
+    arrays are read-only because build_stencil hands one instance to every
+    caller.
     """
 
     gamma: float
@@ -87,6 +89,8 @@ class RieszStencil:
     coeffs: np.ndarray = field(repr=False)
     offsets: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+    h_gamma: float = field(repr=False)
 
 
 @lru_cache(maxsize=_STENCIL_CACHE_SIZE)
@@ -97,15 +101,16 @@ def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
         raise ValueError(f"h must be positive, got {h}")
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    K = int(K)
+    gamma, h, K = float(gamma), float(h), int(K)
     coeffs = _half_coeffs(gamma, K)
     offsets = np.empty(2 * K + 1, dtype=int)
     offsets[0] = 0
     offsets[1::2] = -np.arange(1, K + 1)
     offsets[2::2] = np.arange(1, K + 1)
-    return RieszStencil(gamma=float(gamma), h=float(h), K=K,
+    return RieszStencil(gamma=gamma, h=h, K=K,
                         coeffs=_read_only(coeffs), offsets=_read_only(offsets),
-                        weights=_read_only(coeffs[np.abs(offsets)]))
+                        weights=_read_only(coeffs[np.abs(offsets)]),
+                        steps=_read_only(offsets * h), h_gamma=h**gamma)
 
 
 def ascending_sum(terms: np.ndarray):
@@ -131,12 +136,12 @@ def truncated_centered_difference(stencil: RieszStencil, f, x: float) -> float:
     NodeEvaluationError naming the node. The weighted values are summed
     with ascending_sum.
     """
-    nodes = x - stencil.offsets * stencil.h
+    nodes = x - stencil.steps
     values = np.array([float(f(v)) for v in nodes])
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NodeEvaluationError(float(nodes[bad[0]]), float(values[bad[0]]))
-    return ascending_sum(stencil.weights * values) / stencil.h**stencil.gamma
+    return ascending_sum(stencil.weights * values) / stencil.h_gamma
 
 
 def c_alpha(alpha: float) -> float:

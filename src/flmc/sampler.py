@@ -20,8 +20,8 @@ from . import stable
 from .drift import (DriftOverflowError, FullCentered, Simplified, full_drift,
                     full_drift_rows)
 from .riesz import build_stencil, c_alpha
-from .stable import StableNoise, sas_piece, sas_rows, vw_stream
-from .targets import Minibatch, Target, draw_minibatch, sg_gradient
+from .stable import StableNoise, sas_rows, vw_stream
+from .targets import Target, draw_minibatch, sg_gradient
 
 __all__ = [
     "Polynomial",
@@ -130,13 +130,16 @@ def _streams(seed: int):
     return np.random.default_rng(noise_ss), np.random.default_rng(batch_ss)
 
 
-def _increments(alpha: float, schedule: Schedule, L: np.ndarray, lo: int,
-                m: int):
+def _increments(alpha: float, schedule: Schedule, draws, L: np.ndarray,
+                lo: int, m: int):
     """Step sizes of steps lo+1 .. lo+m, an (m,) array, and the increments
-    eta_n**(1/alpha) * L_n of k chains that share alpha and schedule: L, a
-    C-contiguous (k, m * dim) block of their SaS draws, scaled in place.
-    Row i is bit for bit rows lo .. lo+m of chain i's whole (N, dim) block
-    of SaS draws scaled by its whole etas column."""
+    eta_n**(1/alpha) * L_n of k chains that share alpha and schedule,
+    written into L, a C-contiguous (k, m * dim) block: row i takes the
+    next m * dim draws of draws[i], a vw_stream draw, all rows mapped by
+    one stable transform and scaled in place. Row i is bit for bit rows
+    lo .. lo+m of chain i's whole (N, dim) block of SaS draws scaled by
+    its whole etas column."""
+    sas_rows(StableNoise(alpha, 1.0), draws, L)
     etas = _eta_array(schedule, lo + m, lo)
     L.reshape(L.shape[0], m, -1)[...] *= (etas ** (1.0 / alpha))[:, None]
     return etas, L
@@ -154,7 +157,7 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
     elif n_omega == target.data_size:
         # full batch: enumerate rather than resample, which makes the
         # estimator coincide with the exact gradient term for term
-        full = Minibatch(np.arange(n_omega), n_omega)
+        full = np.arange(n_omega)
         grad = lambda x: sg_gradient(target, x, full)
     else:
         grad = lambda x: sg_gradient(
@@ -171,7 +174,8 @@ def run_chain(config: SamplerConfig, target: Target,
     The noise is drawn from the noise substream a piece at a time, of at
     most _NOISE_CHUNK steps and at most stable._CHUNK draws (one step at
     least), so a chain's noise memory is bounded in draws whatever its
-    dimension; each piece is bit for bit its rows of one whole-chain block.
+    dimension; each piece is bit for bit its rows of one whole-chain block,
+    drawn, mapped and scaled into one piece-sized block reused throughout.
     Estimator accumulators update on every step with the post-update
     state; the record stride only thins the stored trajectory, which is
     written into an array sized up front.
@@ -201,13 +205,14 @@ def run_chain(config: SamplerConfig, target: Target,
     snapshots, steps = [], itertools.count(1)
     acc = {name: 0.0 for name in gs}
     H = 0.0
-    noise, draw = StableNoise(config.alpha, 1.0), vw_stream(noise_rng, N * D)
-    piece = min(_NOISE_CHUNK, max(1, stable._CHUNK // D))
+    draw = vw_stream(noise_rng, N * D)
+    piece = min(_NOISE_CHUNK, max(1, stable._CHUNK // D), N)
+    block = np.empty(piece * D)
     try:
         for lo in range(0, N, piece):
             m = min(piece, N - lo)
-            etas, jumps = _increments(config.alpha, config.schedule,
-                                      sas_piece(noise, draw, m * D)[None], lo, m)
+            etas, jumps = _increments(config.alpha, config.schedule, [draw],
+                                      block[:m * D].reshape(1, -1), lo, m)
             # steps last: zip stops on the piece's end before taking a count
             for eta, jump, n in zip(memoryview(etas),
                                     rows(jumps.reshape(m, D)), steps):
@@ -281,15 +286,19 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     returns, bit for bit, or the ChainFailure it raises (same step, state
     and cause). Each step evaluates every chain's drift at once, as
     -c_alpha * U'(x) on the (R,) state or on one (R, 2K+1) stencil table,
-    and writes the new states into a row of an (m, R) block. The rest is
-    done once per chunk of m <= _NOISE_CHUNK steps: g is called on the
-    (m, R) block, the estimator and step-size sums run down its columns in
-    run_chain's order, and the block is scanned for the first divergence
-    of each row. g and the target's potential and gradient must act
+    and writes x + eta * drift + jump into a row of an (m, R) block, with
+    no check. The rest is done once per chunk of m <= _NOISE_CHUNK steps:
+    g is called on the (m, R) block, the estimator and step-size sums run
+    down its columns in run_chain's order, and the one failure scan finds
+    each live row's first state past the bound. A non-finite drift makes
+    its step's state non-finite, so that state is the row's first event:
+    a full-drift row whose drift at the state before it is not finite
+    failed there with DriftOverflowError, as run_chain raises it, and any
+    other row diverged. g and the target's potential and gradient must act
     elementwise on arrays, rounding as they do on Python floats. Each
     chain's noise comes _NOISE_CHUNK steps at a time from its own stream,
-    the chains of one alpha and schedule mapped by one stable transform
-    per chunk.
+    one _increments call per chunk for the chains of one alpha and
+    schedule.
     """
     if not configs:
         return []
@@ -307,14 +316,14 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     N, R = c0.iterations, len(configs)
     if simplified:
         neg_ca = np.array([-c_alpha(c.alpha) for c in configs])
-        drift = lambda x: (neg_ca * target.gradient(x), None)
+        drift = lambda x: neg_ca * target.gradient(x)
     else:
         sts = [build_stencil(c0.alpha - 2.0, c.drift_spec.h, c0.drift_spec.K)
                for c in configs]
-        steps = np.stack([st.offsets * st.h for st in sts])
+        steps = np.stack([st.steps for st in sts])
         weights = np.stack([st.weights for st in sts])
-        h_gamma = np.array([st.h**st.gamma for st in sts])
-        drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)
+        h_gamma = np.array([st.h_gamma for st in sts])
+        drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)[0]
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
     draws = [vw_stream(_streams(c.seed)[0], N) for c in configs]
@@ -330,7 +339,7 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
         for lo in range(0, N, C):
             if not live.any():
                 break
-            m, started = min(C, N - lo), live.copy()
+            m, x_in = min(C, N - lo), x
             E, J, Xm = etas[:m], jumps[:m], X[:m]
             # a failed row draws no more noise and idles at 0 on zeroed
             # columns, unread
@@ -339,32 +348,29 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                 if not rows:
                     continue
                 # the draws go through X, free until the steps
-                L = sas_rows(StableNoise(alpha, 1.0), [draws[r] for r in rows],
-                             X.reshape(-1)[:len(rows) * m].reshape(-1, m))
-                eta, L = _increments(alpha, schedule, L, lo, m)
+                eta, L = _increments(alpha, schedule, [draws[r] for r in rows],
+                                     X.reshape(-1)[:len(rows) * m].reshape(-1, m),
+                                     lo, m)
                 E[:, rows], J[:, rows] = eta[:, None], L.T
-            for n, eta, jump, xn in zip(itertools.count(lo + 1), E, J, Xm):
-                b, ell_star = drift(x)
-                if ell_star is not None and not np.isfinite(b).all():
-                    over = live & ~np.isfinite(b)
-                    for r in np.flatnonzero(over).tolist():
-                        out[r] = ChainFailure(configs[r].seed, n, float(x[r]),
-                                              DriftOverflowError(float(x[r]),
-                                                                 float(ell_star[r])))
-                    live &= ~over
-                np.multiply(b, eta, xn)  # x + eta * b + jump, into X's row
+            for eta, jump, xn in zip(E, J, Xm):
+                np.multiply(drift(x), eta, xn)  # x + eta * b + jump, into X's row
                 xn += x
                 xn += jump
                 x = xn
-            # each row's first state past the bound, unless its drift
-            # overflowed first or at that step
+            # each live row's first state past the bound; a full-drift row
+            # whose drift overflows at the state before it failed there
             ok = np.abs(Xm, out=J) <= _DIVERGENCE_BOUND
-            for r in np.flatnonzero(started & ~ok.all(axis=0)).tolist():
+            for r in np.flatnonzero(live & ~ok.all(axis=0)).tolist():
                 k = int(np.argmin(ok[:, r]))
-                if out[r] is None or out[r].n > lo + k + 1:
-                    out[r] = ChainFailure(configs[r].seed, lo + k + 1,
-                                          float(Xm[k, r]), "divergence")
-                    live[r] = False
+                state, cause = float(Xm[k, r]), "divergence"
+                if not simplified:
+                    prev = float(Xm[k - 1, r] if k else x_in[r])
+                    try:
+                        full_drift(target, prev, configs[r].drift_spec, c0.alpha)
+                    except DriftOverflowError as e:
+                        state, cause = prev, e
+                out[r] = ChainFailure(configs[r].seed, lo + k + 1, state, cause)
+                live[r] = False
             # the sums of run_chain, term by term: the first row takes the
             # carried sum, and accumulate adds down each column in order
             G = np.multiply(g(Xm), E, out=J)

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Target",
-    "Minibatch",
     "double_well",
     "double_well_grad",
     "double_well_target",
@@ -46,26 +45,12 @@ class Target:
     info: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Minibatch:
-    """Indices drawn with replacement from {0, ..., N_Y - 1}."""
-
-    indices: np.ndarray
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("minibatch size must be >= 1")
-        if len(self.indices) != self.size:
-            raise ValueError("index vector length does not match size")
-
-
-def draw_minibatch(data_size: int, n_omega: int, rng: np.random.Generator) -> Minibatch:
-    """Sample a with-replacement minibatch of likelihood-term indices."""
+def draw_minibatch(data_size: int, n_omega: int, rng: np.random.Generator) -> np.ndarray:
+    """n_omega likelihood-term indices drawn with replacement from
+    {0, ..., data_size - 1}."""
     if data_size < 1:
         raise ValueError("target has no likelihood terms to subsample")
-    idx = rng.integers(0, data_size, int(n_omega))
-    return Minibatch(indices=idx, size=int(n_omega))
+    return rng.integers(0, data_size, int(n_omega))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +187,18 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
                   prior_grad=prior_grad, loglik_batch=loglik_batch, info=info)
 
 
-def sg_gradient(target: Target, x: np.ndarray, batch: Minibatch) -> np.ndarray:
+def sg_gradient(target: Target, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Unbiased subsampled estimate of grad U.
 
-    prior_grad(x) + (N_Y / N_omega) * sum over the batch of per-term
-    gradients. With N_omega = N_Y and an enumerating batch this equals
-    target.gradient(x) exactly.
+    prior_grad(x) + (N_Y / N_omega) * sum over the N_omega likelihood terms
+    that `indices` names (repeats counted) of their gradients. With the
+    enumerating batch arange(N_Y) this equals target.gradient(x) exactly.
     """
     if target.data_size <= 0:
         raise ValueError("target does not support minibatch gradients")
-    if np.any(batch.indices < 0) or np.any(batch.indices >= target.data_size):
+    if len(indices) == 0:
+        raise ValueError("minibatch must hold at least one index")
+    if np.any(indices < 0) or np.any(indices >= target.data_size):
         raise ValueError("minibatch index out of range")
-    scale = target.data_size / batch.size
-    return target.prior_grad(x) + scale * target.loglik_batch(x, batch.indices)
+    scale = target.data_size / len(indices)
+    return target.prior_grad(x) + scale * target.loglik_batch(x, indices)

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -754,6 +756,28 @@ def test_kappa_all_overflow_detail_names_count_and_range(tmp_path, capsys):
     assert diag["error"] == "DriftOverflowError"
     assert diag["detail"] == ("drift overflow at all 5000 grid points, "
                               "x in [1e+300, 2e+300]: exponent inf")
+
+
+def test_kappa_warns_once_per_call(tmp_path):
+    # a fresh process, whose log warnings reach stderr: one line for 4 999
+    # skipped points, none when every point overflows and the diagnostic
+    # names them; a warning per skipped point wrote 5 000 lines
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def run(lo):
+        done = subprocess.run(
+            [sys.executable, "-m", "flmc.cli", "kappa", "--alpha", "1.5",
+             "--k-star", "20", "--grid-lo", lo, "--grid-hi", "2e300",
+             "--grid-n", "5000", "--out", str(tmp_path / "kappa.csv")],
+            env=env, capture_output=True, text=True)
+        return done.returncode, done.stderr.splitlines()
+
+    assert run("1e300") == (1, [])
+    skipped_lo = float(np.linspace(0.5, 2e300, 5000)[1])
+    assert run("0.5") == (0, [
+        f"kappa: drift overflow at 4999 of 5000 grid points, x in "
+        f"[{skipped_lo!r}, 2e+300]: skipped"])
 
 
 def test_outdir_env_respected(tmp_path, monkeypatch):

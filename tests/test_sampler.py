@@ -18,8 +18,8 @@ from flmc.riesz import c_alpha
 from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           _eta_array, _increments, _streams, repeat_seeds,
                           run_chain, run_ensemble, summarize_repeats)
-from flmc.stable import StableNoise, sample_sas_vector, sas_piece, vw_stream
-from flmc.targets import (Minibatch, Target, double_well_target, draw_minibatch,
+from flmc.stable import StableNoise, sample_sas_vector, vw_stream
+from flmc.targets import (Target, double_well_target, draw_minibatch,
                           gaussian_target, sg_gradient, synthetic_mf_target)
 
 DW = double_well_target()
@@ -575,6 +575,24 @@ def test_full_drift_row_diverges_then_overflows_within_a_chunk():
         full_drift(DW, state, cfgs[2].drift_spec, cfgs[2].alpha)
 
 
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_full_drift_row_overflows_at_a_chunks_first_step(chunk):
+    # the failure scan takes the drift at the state before a row's first
+    # state past the bound: at step 1 the initial state (30.0, where the
+    # drift overflows), at steps 8 and 15 of 7-step chunks the state carried
+    # from the chunk before; a survivor runs beside them
+    cfgs = [SamplerConfig(alpha=1.2, drift_spec=FullCentered(0.1, 5),
+                          schedule=Constant(eta), iterations=30, seed=seed,
+                          initial_state=x0)
+            for eta, seed, x0 in ((0.05, 0, 30.0), (0.05, 56, -3.6),
+                                  (0.02, 85, -3.6), (0.002, 0, -3.6))]
+    with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+        keys = _ensemble_matches_chains(cfgs)
+    assert [(k[0], k[2], k[4]) for k in keys[:3]] == [
+        ("failed", n, "DriftOverflowError") for n in (1, 8, 15)]
+    assert keys[0][3] == (30.0).hex() and keys[3][0] == "ok"
+
+
 def test_ensemble_noise_is_held_a_chunk_at_a_time():
     # 50 chains x 50 000 steps: one whole noise block is 20 MB, and its W
     # as much again while drawn; the ensemble holds a chunk per chain
@@ -593,10 +611,12 @@ def test_ensemble_noise_is_held_a_chunk_at_a_time():
 def test_vector_chain_maps_its_noise_where_drawn():
     # a 500-D chain of 1 024 steps draws its noise in pieces of at most
     # stable._CHUNK (65 536) draws: 131 steps, 65 500 V and as many W,
-    # 0.52 MB each. A piece is mapped in place, through the transform's two
-    # chunk-sized temporaries, while the previous piece's increments are
-    # still held: about 5 pieces. Copying a piece into another block would
-    # take a sixth; drawing the chain's whole block at once took 18
+    # 0.52 MB each. Each piece is drawn, mapped and scaled into one
+    # piece-sized block that every piece reuses: the block, W, and either
+    # the fresh V and W of the draw or the transform's two chunk-sized
+    # temporaries make about 4 pieces. Keeping the previous piece's
+    # increments while the next is drawn took a fifth; drawing the chain's
+    # whole block at once took 18
     cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
                         schedule=Constant(0.002), iterations=1024, seed=0,
                         initial_state=np.zeros(500), record_stride=1024)
@@ -609,7 +629,7 @@ def test_vector_chain_maps_its_noise_where_drawn():
     finally:
         tracemalloc.stop()
     piece = stable._CHUNK * 8
-    assert peak < 6 * piece
+    assert peak < 5 * piece
 
 
 def test_trajectory_is_recorded_into_arrays():
@@ -648,13 +668,13 @@ def _whole_block(config, dim):
 
 def _chunked_block(config, dim, rows):
     # the increments as run_chain draws them, `rows` steps at a time
-    N, noise = config.iterations, StableNoise(config.alpha, 1.0)
+    N = config.iterations
     draw = vw_stream(_streams(config.seed)[0], N * dim)
     chunks = []
     for lo in range(0, N, rows):
         m = min(rows, N - lo)
-        etas, jumps = _increments(config.alpha, config.schedule,
-                                  sas_piece(noise, draw, m * dim)[None], lo, m)
+        etas, jumps = _increments(config.alpha, config.schedule, [draw],
+                                  np.empty((1, m * dim)), lo, m)
         assert etas.shape == (m,) and jumps.shape == (1, m * dim)
         chunks.append((etas, jumps.reshape(m, dim)))
     return (np.concatenate([e for e, _ in chunks]),
@@ -742,7 +762,7 @@ def _reference_drift(config, target, batch_rng):
         return lambda x, n: -ca * target.gradient(x)
     n_omega = config.minibatch_size
     if n_omega == target.data_size:
-        full = Minibatch(np.arange(target.data_size), target.data_size)
+        full = np.arange(target.data_size)
         return lambda x, n: -ca * sg_gradient(target, x, full)
     return lambda x, n: -ca * sg_gradient(
         target, x, draw_minibatch(target.data_size, n_omega, batch_rng))

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import flmc
-from flmc.targets import (Minibatch, double_well, double_well_grad,
+from flmc.targets import (double_well, double_well_grad,
                           double_well_stationary_points, double_well_target,
                           draw_minibatch, gaussian_target, sg_gradient,
                           synthetic_mf_target)
@@ -144,8 +144,7 @@ def test_mf_descent_step_decreases_potential(mf):
 def test_full_enumeration_batch_is_bitwise_full_gradient(mf):
     rng = np.random.default_rng(13)
     x = rng.standard_normal(mf.dim)
-    batch = Minibatch(indices=np.arange(mf.data_size), size=mf.data_size)
-    est = sg_gradient(mf, x, batch)
+    est = sg_gradient(mf, x, np.arange(mf.data_size))
     assert np.array_equal(est, mf.gradient(x))
 
 
@@ -178,7 +177,7 @@ def test_loglik_batch_equals_sequential_scatter(I, J, L, seed, log_scale,
     x = rng.standard_normal(t.dim) * 10.0 ** log_scale
     # with-replacement draws repeat entries whenever n_omega > data_size
     idx = (np.arange(t.data_size) if full
-           else draw_minibatch(t.data_size, n_omega, rng).indices)
+           else draw_minibatch(t.data_size, n_omega, rng))
     got = t.loglik_batch(x, idx)
     assert got.tobytes() == _add_at_loglik_batch(t, x, idx).tobytes()
 
@@ -193,7 +192,7 @@ def test_loglik_batch_reuses_no_stale_buffer():
     for size in (1, t.data_size, 4, t.data_size, 4):
         x = rng.standard_normal(t.dim)
         idx = (np.arange(t.data_size) if size == t.data_size
-               else draw_minibatch(t.data_size, size, rng).indices)
+               else draw_minibatch(t.data_size, size, rng))
         got.append(t.loglik_batch(x, idx))
         want.append(_add_at_loglik_batch(t, x, idx).tobytes())
         assert got[-1].tobytes() == want[-1]
@@ -256,19 +255,16 @@ def test_sg_gradient_variance_shrinks_with_batch(mf):
 def test_sg_gradient_validation(mf):
     x = np.zeros(mf.dim)
     with pytest.raises(ValueError):
-        sg_gradient(double_well_target(), 0.0,
-                    Minibatch(indices=np.array([0]), size=1))
+        sg_gradient(double_well_target(), 0.0, np.array([0]))
     with pytest.raises(ValueError):
-        sg_gradient(mf, x, Minibatch(indices=np.array([mf.data_size]), size=1))
+        sg_gradient(mf, x, np.array([mf.data_size]))
     with pytest.raises(ValueError):
-        sg_gradient(mf, x, Minibatch(indices=np.array([-1]), size=1))
+        sg_gradient(mf, x, np.array([-1]))
 
 
-def test_minibatch_validation():
-    with pytest.raises(ValueError):
-        Minibatch(indices=np.array([], dtype=int), size=0)
-    with pytest.raises(ValueError):
-        Minibatch(indices=np.array([1, 2]), size=3)
+def test_minibatch_validation(mf):
+    with pytest.raises(ValueError, match="at least one index"):
+        sg_gradient(mf, np.zeros(mf.dim), np.array([], dtype=int))
     with pytest.raises(ValueError):
         draw_minibatch(0, 4, np.random.default_rng(0))
 
@@ -276,10 +272,11 @@ def test_minibatch_validation():
 def test_draw_minibatch_range_and_determinism():
     b1 = draw_minibatch(10, 500, np.random.default_rng(42))
     b2 = draw_minibatch(10, 500, np.random.default_rng(42))
-    assert np.array_equal(b1.indices, b2.indices)
-    assert b1.indices.min() >= 0 and b1.indices.max() < 10
+    assert b1.shape == (500,)
+    assert np.array_equal(b1, b2)
+    assert b1.min() >= 0 and b1.max() < 10
     # with replacement: 500 draws from 10 values must repeat
-    assert len(np.unique(b1.indices)) <= 10
+    assert len(np.unique(b1)) <= 10
 
 
 def test_mf_rejects_degenerate_shapes():
