@@ -420,7 +420,7 @@ def cmd_sample(args) -> int:
     cfg = SamplerConfig(alpha=args.alpha, drift_spec=spec, schedule=schedule,
                         iterations=args.n, seed=args.seed,
                         initial_state=float(args.init),
-                        minibatch_size=args.batch, record_stride=args.stride)
+                        record_stride=args.stride)
     trace = run_chain(cfg, target, {"x": lambda x: x} if target.dim == 1 else {})
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
@@ -440,7 +440,7 @@ def cmd_sample(args) -> int:
             "target": args.target, "alpha": args.alpha,
             "drift": drift_label(spec), "schedule": schedule_label(schedule),
             "iterations": args.n, "seed": args.seed, "init": float(args.init),
-            "record_stride": args.stride, "minibatch_size": args.batch,
+            "record_stride": args.stride,
         },
         "H_N": trace.H_N,
         "estimates": {k: _jsonify(v) for k, v in trace.estimates.items()},
@@ -516,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=50000)
     sp.add_argument("--init", type=float, default=0.0)
     sp.add_argument("--stride", type=int, default=1)
-    sp.add_argument("--batch", type=int, default=None)
     common(sp)
     sp.set_defaults(func=cmd_sample)
 

@@ -628,15 +628,16 @@ def test_sweep_all_diverging_exits_zero_with_nan_rows(tmp_path, cmd):
 
 
 # sha256 of `flmc sample --alpha 1.7 --schedule const:0.002 --n 3000
-# --stride 7 --init -3.6` (double well, seed 0): the CSV and its
-# .summary.json, recorded when double_well_grad moved to product form
+# --stride 7 --init -3.6` (double well, seed 0): the CSV, recorded when
+# double_well_grad moved to product form, and its .summary.json, recorded
+# when the config echo dropped its always-null minibatch_size
 PINNED_SAMPLE = (
     "1d2a8247710e6328e4e8458e4474a69ab0b615c95a4f295f324ccb9cb0033743",
-    "bc74c18a64da24183de43f7414cfc1db2f77fc9fc767836d25bfa888386f6096")
+    "9a99f9ee55ec05081cf20a999cd4797b46ef3b47ca201aa9ec5f8485737aa8d9")
 # 10 000 rows: several of the trace writer's row chunks
 PINNED_SAMPLE_MULTI_CHUNK = (
     "23321b6bc88058044753e4e6a73887723c2dd600d9f724d11c827ab53a87082b",
-    "7f4210ce6093b5eeced71e98a28b7c8e3a88bb7d6637fcbb2ac108df6d368650")
+    "e8e29fe4fc7fcf7feacac52a94e2e2bf15bd0536c2a4a2561adcdfb06a0247ae")
 
 
 def _sample_digests(tmp_path, n, stride):
@@ -654,6 +655,13 @@ def test_sample_pinned_bytes(tmp_path):
 
 def test_sample_pinned_bytes_multi_chunk(tmp_path):
     assert _sample_digests(tmp_path, "10000", "1") == PINNED_SAMPLE_MULTI_CHUNK
+
+
+def test_sample_has_no_batch_flag(tmp_path, capsys):
+    # no built-in target has data terms, so a minibatch could only fail
+    assert main(["sample", "--batch", "4", "--out", str(tmp_path / "s.csv")]) == 2
+    assert "unrecognized arguments: --batch" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_sample_reruns_byte_identical(tmp_path):
