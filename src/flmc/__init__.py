@@ -3,7 +3,7 @@
 The package splits into noise generation (stable), the fractional
 centered-difference operator (riesz), potential targets (targets), drift
 evaluators (drift), Euler-Maruyama chains and estimators (sampler),
-independent numerical references (oracle), and the experiment CLI (cli).
+an independent numerical reference (oracle), and the experiment CLI (cli).
 """
 
 __version__ = "0.1.0"

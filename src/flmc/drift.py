@@ -1,6 +1,6 @@
 """Drift evaluators for the Levy-driven Langevin dynamics.
 
-Three variants. The full centered drift divides a truncated fractional
+Two variants. The full centered drift divides a truncated fractional
 derivative of f(x) = -exp(-U(x)) U'(x) by exp(-U(x)); computed naively the
 exponentials overflow, so everything runs in the factored form with the
 largest exponent pulled out. The simplified drift is -c_alpha * grad U and
@@ -8,10 +8,10 @@ works in any dimension (the sampler applies it inline). The full drift is
 one-dimensional; a large truncation K_star stands in for the untruncated
 operator.
 
-The full drift, the r diagnostic and kappa all evaluate through the one
-riesz stencil: build_stencil supplies the nodes and weights, cached per
-(gamma, h, K), and riesz.ascending_sum does the summation, through one
-row-wise evaluator that takes a row per state (kappa's grid, an ensemble).
+The full drift and kappa both evaluate through the one riesz stencil:
+build_stencil supplies the nodes and weights, cached per (gamma, h, K), and
+riesz.ascending_sum does the summation, through one row-wise evaluator that
+takes a row per state (kappa's grid, an ensemble).
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from .targets import Target
 
 __all__ = [
     "DriftOverflowError",
-    "UndefinedDiagnosticError",
     "Simplified",
     "FullCentered",
     "full_drift",
     "full_drift_rows",
-    "r_diagnostic",
     "kappa",
     "KappaResult",
 ]
@@ -54,10 +52,6 @@ class DriftOverflowError(ArithmeticError):
         self.ell_star = ell_star
         super().__init__(f"drift overflow at {where or f'x={x!r}'}: "
                          f"exponent {ell_star!r}")
-
-
-class UndefinedDiagnosticError(ValueError):
-    """r is undefined where U'(x) = 0."""
 
 
 @dataclass(frozen=True)
@@ -145,36 +139,6 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
     if not math.isfinite(b[0]):
         raise DriftOverflowError(x, float(ell_star[0]))
     return float(b[0])
-
-
-def r_diagnostic(target: Target, x: float, alpha: float, h: float, K_x: int) -> float:
-    """Truncation-quality diagnostic at x.
-
-    |sum_k (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma) with
-    f = -exp(-U) U', i.e. the full-drift stencil sum S over g_0 U'(x):
-    r = exp((ell* + log|S / (g_0 U'(x))|) / gamma), evaluated in log space
-    because either factor alone can pass the float range when gamma is
-    near 0. An r below the float range is 0.0, one above it is inf.
-    Undefined at stationary points of U.
-    """
-    gamma = _check_alpha(alpha)
-    if gamma == 0.0:
-        raise ValueError("diagnostic needs alpha < 2 (exponent 1/gamma)")
-    du_x = float(target.gradient(x))
-    if du_x == 0.0:
-        raise UndefinedDiagnosticError(f"U'(x) = 0 at x={x!r}")
-    stencil = build_stencil(gamma, h, K_x)
-    ell_star, terms = _scaled_terms(target, np.array([float(x)]),
-                                    stencil.steps, stencil.weights)
-    s = float(ascending_sum(terms)[0])
-    if s == 0.0:
-        return math.inf
-    g_0 = float(stencil.coeffs[0])
-    log_ratio = math.log(abs(s)) - math.log(abs(g_0)) - math.log(abs(du_x))
-    try:
-        return math.exp((float(ell_star[0]) + log_ratio) / gamma)
-    except OverflowError:
-        return math.inf
 
 
 @dataclass(frozen=True)

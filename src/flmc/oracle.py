@@ -1,5 +1,4 @@
-"""Independent numerical references: quadrature expectations and spectral
-evaluation of the fractional centered derivative.
+"""Independent numerical reference: quadrature expectations under exp(-U).
 
 Nothing here is used by the sampling code itself. The quadrature is a plain
 adaptive Simpson rule, deliberately separate from the discretized operators
@@ -24,7 +23,6 @@ __all__ = [
     "QuadratureSpec",
     "adaptive_simpson",
     "quadrature_expectation",
-    "spectral_riesz",
 ]
 
 
@@ -116,22 +114,3 @@ def quadrature_expectation(target: Target, g: Callable,
     z = adaptive_simpson(w, spec)
     num = adaptive_simpson(lambda x: g(x) * w(x), spec)
     return num / z
-
-
-def spectral_riesz(f_hat: Callable, gamma: float, x: float) -> float:
-    """Fractional centered derivative of order gamma through frequency space.
-
-    f_hat is the closed-form continuous Fourier transform of f under the
-    exp(-i w x) forward convention; the operator multiplies it by |w|^gamma
-    and inverts. Real-valued f gives conjugate-symmetric f_hat, so the
-    integral folds onto [0, inf) with twice the real part.
-    """
-    from scipy import integrate  # its only use: no command loads scipy
-    def integrand(w):
-        val = complex(f_hat(w)) * complex(math.cos(w * x), math.sin(w * x))
-        return (w ** gamma) * val.real / math.pi
-
-    out, _ = integrate.quad(integrand, 0.0, np.inf, limit=400)
-    if not math.isfinite(out):
-        raise QuadratureError("spectral integral did not converge")
-    return out

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flmc.drift import (DriftOverflowError, FullCentered, Simplified,
-                        UndefinedDiagnosticError, full_drift, kappa,
-                        r_diagnostic)
+                        full_drift, kappa)
 from flmc.riesz import c_alpha, coeff
 from flmc.sampler import Constant, SamplerConfig, _drift_fn
 from flmc.targets import Target, double_well_target, gaussian_target
@@ -227,69 +226,6 @@ def test_full_drift_pinned_sweep(alpha, h, K):
                      for x in np.linspace(-4.5, 4.5, 201))
     digest = hashlib.sha256(hexes.encode()).hexdigest()
     assert digest == PINNED_DRIFT_SWEEPS[alpha, h, K]
-
-
-# ---------------------------------------------------------------------------
-# truncation diagnostic
-# ---------------------------------------------------------------------------
-
-def test_diagnostic_unit_bracket():
-    # gradient vanishes at every node except the center, potential is
-    # flat: the bracket is exactly 1, so r = 1 for any alpha < 2
-    t = Target(dim=1,
-               potential=lambda v: np.zeros_like(v),
-               gradient=lambda v: np.where(v == 0.0, 1.0, 0.0))
-    assert r_diagnostic(t, 0.0, 1.7, 0.1, 5) == 1.0
-
-
-def _direct_r(x, alpha, h, K):
-    """|sum_k (g_k / g_0) f(x - k h) / f(x)| ** (1 / gamma), term by term."""
-    gamma = alpha - 2.0
-    ks = np.concatenate([-np.arange(1, K + 1), np.arange(1, K + 1)])
-    nodes = x - ks * h
-    g0 = coeff(gamma, 0)
-    g = np.array([coeff(gamma, int(k)) for k in ks])
-    bracket = 1.0 + float(np.sum(
-        (g / g0) * np.exp(DW.potential(x) - DW.potential(nodes))
-        * DW.gradient(nodes) / DW.gradient(x)))
-    return abs(bracket) ** (1.0 / gamma)
-
-
-def test_diagnostic_against_direct_formula():
-    alpha, h, K = 1.7, 0.06, 170
-    x = 2.0
-    ref = _direct_r(x, alpha, h, K)
-    assert r_diagnostic(DW, x, alpha, h, K) == pytest.approx(ref, rel=1e-8)
-
-
-def test_diagnostic_near_gaussian_order():
-    # at alpha 1.99 the exponent 1/gamma is -100: exp(ell*/gamma) and the
-    # scaled stencil sum to that power pass the float range on their own,
-    # while r itself is in range (x=2) or underflows to 0 (x=40)
-    ref = _direct_r(2.0, 1.99, 0.06, 170)
-    assert 0.0 < ref < 1.0
-    assert r_diagnostic(DW, 2.0, 1.99, 0.06, 170) == pytest.approx(ref, rel=1e-8)
-    assert r_diagnostic(DW, -0.5, 1.99, 0.06, 170) > 0.0
-    assert r_diagnostic(DW, 40.0, 1.99, 0.06, 170) == 0.0
-
-
-def test_diagnostic_where_drift_overflows():
-    # the drift's exponent passes exp's range at x=40; the diagnostic
-    # still evaluates, through exp(ell*/gamma) with gamma < 0
-    with pytest.raises(DriftOverflowError):
-        full_drift(DW, 40.0, FullCentered(0.06, 170), 1.7)
-    assert r_diagnostic(DW, 40.0, 1.7, 0.06, 170) == 0.0
-
-
-def test_diagnostic_undefined_at_stationary_point():
-    t = gaussian_target(0.0, 1.0)
-    with pytest.raises(UndefinedDiagnosticError):
-        r_diagnostic(t, 0.0, 1.7, 0.05, 10)
-
-
-def test_diagnostic_rejects_gaussian_order():
-    with pytest.raises(ValueError):
-        r_diagnostic(DW, 2.0, 2.0, 0.05, 10)
 
 
 # ---------------------------------------------------------------------------
