@@ -371,7 +371,8 @@ def mf_rmse_curve(target, alpha, schedule, n_steps, batch_size, seed, stride):
         B = x[I * L:].reshape(L, J)
         return (A @ B)[ti, tj]
 
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    # child 2: children 0 and 1 seed the chain's noise and minibatch streams
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
     x0 = rng.standard_normal(target.dim)  # prior draw
     cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(), schedule=schedule,
                         iterations=n_steps, seed=seed, initial_state=x0,

@@ -352,10 +352,10 @@ def test_mf_rmse_decreases_for_both_tails():
 
 
 # sha256 of the CSV and .meta.json of mf_report((1.5, 2.0), 20, 15, 3, 1,
-# Constant(3e-5), 200, None, 0, 25), recorded while synthetic_mf_target
-# still built its target through a separate data-to-target helper
+# Constant(3e-5), 200, None, 0, 25); the CSV was re-recorded when the
+# chain's start was drawn from its own seed child instead of the noise one
 PINNED_MF = (
-    "59d35705a163effc9c095027f535d6be24debf3ef473b23d771d8f13a445cc0d",
+    "89a1fea5a31f3ae6de24724c4164ac531662259a869038aa40cfa7261f97fa1a",
     "e83a2457a5b5851757f7b19e9cb68d02c1954e1defde46b42202d9b64f63fe0d")
 
 
@@ -429,7 +429,7 @@ def test_mf_full_batch_curve_equals_exact_gradient_curve():
     def predictor(x):
         return x[: I * L].reshape(I, L) @ x[I * L:].reshape(L, J)
 
-    rng = np.random.default_rng(np.random.SeedSequence(9).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(9).spawn(3)[2])
     x0 = rng.standard_normal(t.dim)
     cfg = SamplerConfig(alpha=1.6, drift_spec=Simplified(), schedule=Constant(1e-3),
                         iterations=300, seed=9, initial_state=x0, record_stride=75)
