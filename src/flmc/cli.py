@@ -181,19 +181,18 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):  # JSON has no NaN or infinity
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
     return obj
 
 
 def write_json(obj, path):
-    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonify(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -290,7 +289,8 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
 
 
 def kappa_report(target, alphas, h, K_star, grid_lo, grid_hi, grid_n) -> ExperimentReport:
-    grid = np.linspace(grid_lo, grid_hi, grid_n)
+    with np.errstate(all="ignore"):  # kappa rejects a non-finite point
+        grid = np.linspace(grid_lo, grid_hi, grid_n)
     rows = []
     per_point = {}
     for alpha in sorted(set(alphas)):
@@ -444,7 +444,7 @@ def cmd_sample(args) -> int:
             "record_stride": args.stride,
         },
         "H_N": trace.H_N,
-        "estimates": {k: _jsonify(v) for k, v in trace.estimates.items()},
+        "estimates": trace.estimates,
         "final_state": trace.final_state,
         "version": __version__,
         "timestamp": None,
@@ -594,12 +594,12 @@ def main(argv=None) -> int:
         diag = {"error": "chain-failure", "seed": e.seed, "step": e.n,
                 "state": _jsonify(np.atleast_1d(e.state)),
                 "cause": str(e.cause)}
-        print(json.dumps(diag, sort_keys=True))
+        print(json.dumps(diag, sort_keys=True, allow_nan=False))
         return 1
     except (DriftOverflowError, QuadratureError, SupportError, OSError) as e:
         # before ValueError: SupportError subclasses it but is no usage error
         print(json.dumps({"error": type(e).__name__, "detail": str(e)},
-                         sort_keys=True))
+                         sort_keys=True, allow_nan=False))
         return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

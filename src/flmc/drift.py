@@ -163,6 +163,8 @@ def kappa(target: Target, alpha: float, h: float, K_star: int, grid) -> KappaRes
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid points must be finite")
     ca = c_alpha(alpha)
     st = build_stencil(gamma, h, K_star)
     per_point = np.full(grid.size, np.nan)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gamma as _gamma_fn
+from math import gamma as _gamma_fn, isfinite
 
 import numpy as np
 
@@ -103,6 +103,9 @@ def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
         raise ValueError(f"K must be >= 1, got {K}")
     gamma, h, K = float(gamma), float(h), int(K)
     coeffs = _half_coeffs(gamma, K)
+    # checked once K sizes an array, so that K * h is a float product
+    if not isfinite(K * h):
+        raise ValueError(f"the stencil's reach K*h must be finite, got h={h!r}, K={K}")
     offsets = np.empty(2 * K + 1, dtype=int)
     offsets[0] = 0
     offsets[1::2] = -np.arange(1, K + 1)

@@ -126,6 +126,33 @@ def test_write_json_nan_becomes_null(tmp_path):
     assert data["arr"] == [1.0, 2.0]
 
 
+def _strict_json(text):
+    """json.loads refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+_FLOATS = st.one_of(st.floats(), st.floats().map(np.float64),
+                    st.floats(width=32).map(np.float32))
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=3), _FLOATS,
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.lists(st.floats(), max_size=6).map(np.array),
+    st.lists(st.floats(), max_size=3).map(lambda v: np.array([v, v])))
+
+
+@settings(deadline=None)
+@given(obj=st.recursive(_JSON_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=3), st.tuples(kids, kids),
+    st.dictionaries(st.text(max_size=3), kids, max_size=3)), max_leaves=12))
+def test_write_json_output_is_strict_json(tmp_path_factory, obj):
+    # a non-finite float, Python or numpy, is written as null
+    p = tmp_path_factory.getbasetemp() / "strict.json"
+    write_json(obj, str(p))
+    _strict_json(p.read_text())
+
+
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
@@ -489,6 +516,17 @@ def test_chain_failure_exits_one_with_diagnostic(tmp_path, capsys):
     assert diag["step"] >= 1
 
 
+def test_divergence_diagnostic_is_strict_json(tmp_path, capsys):
+    # the first step leaves the float range, so the failed state is -inf,
+    # which the diagnostic writes as null
+    code = main(["sample", "--init", "1e200", "--n", "5",
+                 "--out", str(tmp_path / "trace.csv")])
+    assert code == 1
+    diag = _strict_json(capsys.readouterr().out)
+    assert diag["cause"] == "divergence"
+    assert diag["state"] == [None]
+
+
 def test_full_drift_overflow_exits_one_without_warnings(tmp_path, capsys):
     # U overflows at the start: exit 1 with the JSON diagnostic, and no
     # numpy RuntimeWarning on the way
@@ -570,7 +608,7 @@ def test_sample_exit_code_contract(tmp_path_factory, schedule, drift, target,
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
-        assert isinstance(json.loads(stdout.getvalue()), dict)
+        assert isinstance(_strict_json(stdout.getvalue()), dict)
     else:
         assert stdout.getvalue() == ""
 
@@ -764,6 +802,23 @@ def test_kappa_all_overflow_detail_names_count_and_range(tmp_path, capsys):
     assert diag["error"] == "DriftOverflowError"
     assert diag["detail"] == ("drift overflow at all 5000 grid points, "
                               "x in [1e+300, 2e+300]: exponent inf")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--h", "inf"], ["--h", "1e308"], ["--grid-lo", "nan"],
+    ["--grid-hi", "inf"]], ids=" ".join)
+def test_kappa_non_finite_h_or_grid_is_usage_error(tmp_path, capsys, flags):
+    # the stencil's reach K*h (K_star = 170) and every grid point must be
+    # finite; numpy stays silent on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["kappa", "--alpha", "1.5", *flags,
+                     "--out", str(tmp_path / "kappa.csv")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert "finite" in out.err
+    assert caught == []
+    assert not (tmp_path / "kappa.csv").exists()
 
 
 def test_kappa_warns_once_per_call(tmp_path):

@@ -298,6 +298,10 @@ def test_kappa_validation():
         kappa(DW, 2.0, 0.06, 170, [0.0])
     with pytest.raises(ValueError):
         kappa(DW, 1.7, 0.06, 170, [])
+    # a non-finite point is no drift overflow at x = nan
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            kappa(DW, 1.7, 0.06, 20, [0.5, bad])
 
 
 def test_refinement_converges_toward_reference():

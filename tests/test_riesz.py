@@ -35,6 +35,11 @@ def test_gamma_domain():
         build_stencil(-0.5, 0.0, 10)
     with pytest.raises(ValueError):
         build_stencil(-0.5, 0.1, 0)
+    # the outermost node sits K*h from the state
+    for h, K in ((math.inf, 1), (1e308, 170)):
+        with pytest.raises(ValueError, match="finite"):
+            build_stencil(-0.5, h, K)
+    assert build_stencil(-0.5, 1e308, 1).steps[-1] == 1e308
 
 
 def test_coeff_anchor_values():
