@@ -12,7 +12,7 @@ the true coefficients are exactly zero) and loses precision for large k.
 
 This module owns the stencil: build_stencil fixes the node layout and the
 weights once per (gamma, h, K), and ascending_sum is the one summation every
-consumer uses: the fractional drift and kappa.
+consumer uses, the fractional drift and kappa included.
 """
 
 from __future__ import annotations
