@@ -17,7 +17,7 @@ __all__ = ["StableNoise", "sample_sas_vector", "sas_rows", "vw_stream"]
 # V draws this close to +-pi/2 would underflow cos(V); clamping them in place
 # keeps the stream's layout and changes the law by a ~1e-10 probability event.
 _V_EDGE = np.pi / 2 - 1e-10
-_CHUNK = 1 << 16  # draws per chunk of the (V, W) -> SaS map
+_CHUNK = 1 << 14  # draws per chunk of the (V, W) -> SaS map
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+_GATHER_BLOCK = 4096  # batch entries per gather block of the MF residual
+
 __all__ = [
     "Target",
     "double_well",
@@ -67,9 +69,17 @@ def double_well_grad(x):
 
     In product (Horner) form: +, * and / round the same on a Python float
     and on each element of an array, where array x**3 does not always
-    match the scalar power.
+    match the scalar power. The in-place steps rebind a float and reuse
+    an array's one temporary, in the order (((4x - 0.06)x - 52.04)x + 0.5)/10.
     """
-    return (((4.0 * x - 0.06) * x - 52.04) * x + 0.5) / 10.0
+    g = 4.0 * x
+    g -= 0.06
+    g *= x
+    g -= 52.04
+    g *= x
+    g += 0.5
+    g /= 10.0
+    return g
 
 
 def double_well_target() -> Target:
@@ -147,10 +157,10 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
     def prior_grad(x):
         return x.copy()
 
-    gathers = np.empty((2, 0, L))  # A[ii, :] and B[:, jj].T of the last batch
+    block = None  # (2, C, L): A[ii, :] and B[:, jj].T of C batch entries
 
     def loglik_batch(x, indices):
-        nonlocal gathers
+        nonlocal block
         # sum over selected observations of d/dx [0.5*(Y_e - (AB)_e)^2].
         # bincount adds each weight into its bin in order of appearance,
         # starting from 0.0, so repeated entries (with-replacement batches)
@@ -158,21 +168,36 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
         # latent column.
         A, B = split(x)
         ii, jj = ti[indices], tj[indices]
-        # the (b, L) gathers go into buffers kept across calls of one batch
-        # length: fresh ones this large are mapped and faulted in per call.
-        # Bg holds B[:, jj] row by row, the layout einsum sums along; take
-        # writes out directly only with an index mode other than "raise"
-        if gathers.shape[1] != ii.size:
-            gathers = np.empty((2, ii.size, L))
-        Ag = np.take(A, ii, axis=0, out=gathers[0], mode="wrap")
-        Bg = np.take(B.T, jj, axis=0, out=gathers[1], mode="wrap")
-        neg_resid = -(y_train[indices] - np.einsum("ij,ij->i", Ag, Bg))
+        b = ii.size
+        if block is None:
+            block = np.empty((2, _GATHER_BLOCK, L))
+        # the residual C entries at a time, from gathers of B[:, jj] row by
+        # row, the layout einsum sums along; take writes out directly only
+        # with an index mode other than "raise"
+        C = block.shape[1]
+        neg_resid = np.empty(b)
+        for lo in range(0, b, C):
+            hi = min(lo + C, b)
+            Ag = np.take(A, ii[lo:hi], axis=0, out=block[0, : hi - lo], mode="wrap")
+            Bg = np.take(B.T, jj[lo:hi], axis=0, out=block[1, : hi - lo], mode="wrap")
+            r = np.einsum("ij,ij->i", Ag, Bg, out=neg_resid[lo:hi])
+            np.subtract(y_train[indices[lo:hi]], r, out=r)
+            np.negative(r, out=r)
+        # then each column's weights in one reused (b,) buffer: read off the
+        # block while it holds the whole batch (a strided read of a block in
+        # cache beats a second gather), else gathered as contiguous vectors
+        whole = b <= C
+        w = np.empty(b)
         out = np.empty(dim)
         gA = out[: I * L].reshape(I, L)
         gB = out[I * L :].reshape(L, J)
         for l in range(L):
-            gA[:, l] = np.bincount(ii, weights=neg_resid * Bg[:, l], minlength=I)
-            gB[l] = np.bincount(jj, weights=neg_resid * Ag[:, l], minlength=J)
+            Bl = block[1, :b, l] if whole else np.take(B[l], jj, out=w, mode="wrap")
+            np.multiply(neg_resid, Bl, out=w)
+            gA[:, l] = np.bincount(ii, weights=w, minlength=I)
+            Al = block[0, :b, l] if whole else np.take(A[:, l], ii, out=w, mode="wrap")
+            np.multiply(neg_resid, Al, out=w)
+            gB[l] = np.bincount(jj, weights=w, minlength=J)
         return out
 
     def dU(x):
@@ -196,6 +221,10 @@ def sg_gradient(target: Target, x: np.ndarray, indices: np.ndarray) -> np.ndarra
     """
     if target.data_size <= 0:
         raise ValueError("target does not support minibatch gradients")
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(f"minibatch must be a 1-D integer array, got shape "
+                         f"{indices.shape} of {indices.dtype}")
     if len(indices) == 0:
         raise ValueError("minibatch must hold at least one index")
     if np.any(indices < 0) or np.any(indices >= target.data_size):

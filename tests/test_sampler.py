@@ -610,13 +610,13 @@ def test_ensemble_noise_is_held_a_chunk_at_a_time():
 
 def test_vector_chain_maps_its_noise_where_drawn():
     # a 500-D chain of 1 024 steps draws its noise in pieces of at most
-    # stable._CHUNK (65 536) draws: 131 steps, 65 500 V and as many W,
-    # 0.52 MB each. Each piece is drawn, mapped and scaled into one
+    # stable._CHUNK (16 384) draws: 32 steps, 16 000 V and as many W,
+    # 128 KB each. Each piece is drawn, mapped and scaled into one
     # piece-sized block that every piece reuses: the block, W, and either
     # the fresh V and W of the draw or the transform's two chunk-sized
     # temporaries make about 4 pieces. Keeping the previous piece's
     # increments while the next is drawn took a fifth; drawing the chain's
-    # whole block at once took 18
+    # whole block at once took 9.4 MB
     cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
                         schedule=Constant(0.002), iterations=1024, seed=0,
                         initial_state=np.zeros(500), record_stride=1024)

@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import flmc
+from flmc import targets
 from flmc.targets import (double_well, double_well_grad,
                           double_well_stationary_points, double_well_target,
                           draw_minibatch, gaussian_target, sg_gradient,
@@ -168,24 +171,51 @@ def _add_at_loglik_batch(target, x, indices):
 @settings(max_examples=60, deadline=None)
 @given(I=st.integers(1, 6), J=st.integers(1, 6), L=st.integers(1, 6),
        seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3.0, 2.0),
-       full=st.booleans(), n_omega=st.integers(1, 60))
+       full=st.booleans(), n_omega=st.integers(1, 60),
+       block=st.sampled_from((1, 7, targets._GATHER_BLOCK)))
+@example(I=70, J=70, L=3, seed=5, log_scale=0.0, full=True, n_omega=1,
+         block=targets._GATHER_BLOCK)
+@example(I=70, J=70, L=3, seed=5, log_scale=0.0, full=False, n_omega=10_000,
+         block=targets._GATHER_BLOCK)
 def test_loglik_batch_equals_sequential_scatter(I, J, L, seed, log_scale,
-                                                full, n_omega):
-    t = synthetic_mf_target(I, J, L, seed=seed % 1000)
-    assume(t.data_size > 0)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(t.dim) * 10.0 ** log_scale
-    # with-replacement draws repeat entries whenever n_omega > data_size
-    idx = (np.arange(t.data_size) if full
-           else draw_minibatch(t.data_size, n_omega, rng))
-    got = t.loglik_batch(x, idx)
+                                                full, n_omega, block):
+    # the residual is gathered `block` entries at a time: a full enumeration
+    # of up to 36 entries, or a batch of up to 60, crosses blocks of 1 and 7;
+    # at 70x70 (4 400-odd entries) the examples cross the default block
+    with mock.patch.object(targets, "_GATHER_BLOCK", block):
+        t = synthetic_mf_target(I, J, L, seed=seed % 1000)
+        assume(t.data_size > 0)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(t.dim) * 10.0 ** log_scale
+        # with-replacement draws repeat entries whenever n_omega > data_size
+        idx = (np.arange(t.data_size) if full
+               else draw_minibatch(t.data_size, n_omega, rng))
+        got = t.loglik_batch(x, idx)
     assert got.tobytes() == _add_at_loglik_batch(t, x, idx).tobytes()
 
 
+def test_mf_gradient_working_set_is_bounded():
+    # the first full-batch gradient at 200x200, L = 10 (36 010 entries)
+    # gathers its residual through one (2, 4 096, 10) block and its scatter
+    # weights one column at a time. Whole-batch (2, b, 10) gathers peaked
+    # at 7.27 MB and kept 5.76 MB after the result was dropped
+    t = synthetic_mf_target(200, 200, 10)
+    x = np.random.default_rng(3).standard_normal(t.dim)
+    tracemalloc.start()
+    try:
+        g = t.gradient(x)
+        peak = tracemalloc.get_traced_memory()[1]
+        del g
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+    assert kept < 1e6
+
+
 def test_loglik_batch_reuses_no_stale_buffer():
-    # one target across batch lengths 1, N_Y, 4, N_Y, 4: its gather buffers
-    # are kept between calls of one length and replaced on a change, and
-    # every result is its own array
+    # one target across batch lengths 1, N_Y, 4, N_Y, 4: its gather block
+    # is kept across calls and lengths, and every result is its own array
     t = synthetic_mf_target(7, 6, 3, seed=4)
     rng = np.random.default_rng(29)
     got, want = [], []
@@ -217,9 +247,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_minibatch_gradient_does_not_fault_per_call():
-    # 200 warm 10% minibatch gradients reuse their (b, L) gathers. Fresh
-    # 288 KB gathers sit above glibc's default 128 KB mmap threshold: each
-    # call maps and faults them in, about 142 minor page faults. glibc
+    # 200 warm 10% minibatch gradients reuse their gather block, and their
+    # (b,) residual and weights are 29 KB each. Fresh 288 KB (b, L) gathers
+    # sit above glibc's default 128 KB mmap threshold: each call mapped and
+    # faulted them in, about 142 minor page faults. glibc
     # raises the threshold after a larger mapped block is freed, so the
     # loop runs in a fresh interpreter with the default pinned
     env = dict(os.environ, MALLOC_MMAP_THRESHOLD_="131072",
@@ -260,6 +291,14 @@ def test_sg_gradient_validation(mf):
         sg_gradient(mf, x, np.array([mf.data_size]))
     with pytest.raises(ValueError):
         sg_gradient(mf, x, np.array([-1]))
+    # a mask, float indices, a 0-d or a 2-D array is not a batch
+    for bad in (np.arange(mf.data_size) == 3, np.array([0.0, 1.0]),
+                np.array(0), np.array([[0, 1]])):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            sg_gradient(mf, x, bad)
+    # a list of ints is one
+    assert np.array_equal(sg_gradient(mf, x, [0, 1]),
+                          sg_gradient(mf, x, np.array([0, 1])))
 
 
 def test_minibatch_validation(mf):
