@@ -426,16 +426,20 @@ def cmd_sample(args) -> int:
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
     # '%.17g' % v and format(v, '.17g') use the same float formatter, so
-    # the rows match _fmt's; converting _ROW_CHUNK rows at a time keeps no
-    # whole-chain list of Python floats or of rows
-    row = "%d" + ",%.17g" * (1 + target.dim) + "\n"
+    # the rows match _fmt's; converting _ROW_CHUNK rows at a time, inside
+    # the writelines call, keeps no list past its chunk. A chunk's eta
+    # column that holds one value (any const: schedule) is formatted once
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, trace.iterations.size, _ROW_CHUNK):
             rows = slice(lo, lo + _ROW_CHUNK)
-            fh.writelines(row % cells for cells in zip(
-                trace.iterations[rows].tolist(), trace.etas[rows].tolist(),
-                *trace.states[rows].T.tolist()))
+            eta = trace.etas[rows]
+            const = (eta == eta[0]).all()
+            row = ("%d," + (format(float(eta[0]), ".17g") if const else "%.17g")
+                   + ",%.17g" * target.dim + "\n")
+            fh.writelines(map(row.__mod__, zip(
+                trace.iterations[rows].tolist(), *([] if const else [eta.tolist()]),
+                *trace.states[rows].T.tolist())))
     summary = {
         "config": {
             "target": args.target, "alpha": args.alpha,

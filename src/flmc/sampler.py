@@ -9,7 +9,6 @@ steps many 1-D chains in lockstep, each bitwise equal to its run_chain.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -176,9 +175,12 @@ def run_chain(config: SamplerConfig, target: Target,
     least), so a chain's noise memory is bounded in draws whatever its
     dimension; each piece is bit for bit its rows of one whole-chain block,
     drawn, mapped and scaled into one piece-sized block reused throughout.
-    Estimator accumulators update on every step with the post-update
-    state; the record stride only thins the stored trajectory, which is
-    written into an array sized up front.
+    A step stores x + eta * drift(x) + jump in the row whose increment it
+    took. Once per piece, a scan finds the first state past the bound, the
+    test functions run down the states before it, and one accumulate sums
+    the step sizes. The chain fails at the first step whose drift raises an
+    ArithmeticError (at the state before it), whose state passes the bound,
+    or whose test function raises one.
     """
     if config.minibatch_size is not None and target.data_size <= 0:
         raise ValueError("minibatch configured but target has no data terms")
@@ -186,51 +188,60 @@ def run_chain(config: SamplerConfig, target: Target,
     x = np.asarray(config.initial_state, dtype=float)
     if D == 1 and x.size != 1:
         raise ValueError(f"1-D target needs a scalar initial state, got {x.size} values")
+    # a Python float step costs a fraction of a size-1 array step
+    x = x.item() if D == 1 else x.reshape(D)
     gs = dict(test_functions or {})
     noise_rng, batch_rng = _streams(config.seed)
     drift = _drift_fn(config, target, batch_rng)
     iterations = np.arange(stride, N + 1, stride)
     states, rec_etas = np.empty((iterations.size, D)), np.empty(iterations.size)
-    rec_eta = memoryview(rec_etas)
-    # a Python float step costs a fraction of a size-1 array step; iterating
-    # a memoryview yields one Python float at a time, and writing one into
-    # a memoryview stores it with no float object kept
-    if D == 1:
-        x, rec, size = x.item(), memoryview(states[:, 0]), abs
-        rows = lambda jumps: memoryview(jumps[:, 0])
-    else:
-        x, rec, rows = x.reshape(D), states, iter
-        size = lambda v: np.abs(v).max()  # NaN propagates
-
-    snapshots, steps = [], itertools.count(1)
-    acc = {name: 0.0 for name in gs}
-    H = 0.0
+    snapshots, acc, H = [], {name: 0.0 for name in gs}, 0.0
     draw = vw_stream(noise_rng, N * D)
     piece = min(_NOISE_CHUNK, max(1, stable._CHUNK // D), N)
     block = np.empty(piece * D)
-    try:
-        for lo in range(0, N, piece):
-            m = min(piece, N - lo)
-            etas, jumps = _increments(config.alpha, config.schedule, [draw],
-                                      block[:m * D].reshape(1, -1), lo, m)
-            # steps last: zip stops on the piece's end before taking a count
-            for eta, jump, n in zip(memoryview(etas),
-                                    rows(jumps.reshape(m, D)), steps):
-                x = x + eta * drift(x) + jump
-                if not size(x) <= _DIVERGENCE_BOUND:  # NaN and inf fail it too
-                    raise ChainFailure(config.seed, n, x, "divergence")
-                H += eta
-                for name, g in gs.items():
-                    acc[name] = acc[name] + eta * g(x)
-                if n % stride == 0:
-                    i = n // stride - 1
-                    rec[i], rec_eta[i] = x, eta
-                    if snapshot_estimates:
-                        snapshots.append((n, {k: v / H for k, v in acc.items()}))
-    except ArithmeticError as e:
-        # numerical failure (drift overflow, float overflow, division by
-        # zero) is a chain outcome; anything else is a programming error
-        raise ChainFailure(config.seed, n, x, e) from e
+    for lo in range(0, N, piece):
+        m = min(piece, N - lo)
+        etas, jumps = _increments(config.alpha, config.schedule, [draw],
+                                  block[:m * D].reshape(1, -1), lo, m)
+        X = jumps.reshape(m, D)
+        # iterating a memoryview yields Python floats, and writing one in keeps
+        # no float object; a vector state is copied into its row, which failures report
+        E, S = memoryview(etas), memoryview(jumps[0]) if D == 1 else X
+        k, err = m, None
+        with np.errstate(all="ignore"):  # steps past a failure are discarded
+            try:
+                for i, eta, jump in zip(range(m), E, S):
+                    x = x + eta * drift(x) + jump
+                    S[i] = x
+            except ArithmeticError as e:  # numerical failure is a chain outcome
+                k, err = i, e
+        ok = np.abs(X[:k]).max(axis=1) <= _DIVERGENCE_BOUND  # NaN fails it
+        d = k if ok.all() else int(ok.argmin())
+        Hs = np.add.accumulate(np.concatenate(([H], etas))).tolist()  # H at each step
+        first = (-lo - 1) % stride  # the piece's first recorded row
+        cuts = range(first + 1, d + 1, stride) if snapshot_estimates else ()
+        s, failed = 0, None
+        for e in sorted({*cuts, d}):
+            for name, g in gs.items():  # each g down the states in step order
+                a = acc[name]
+                try:
+                    for j, eta, xj in zip(range(s, e), E[s:e], S[s:e]):
+                        a = a + eta * g(xj)
+                except ArithmeticError as cause:  # the next g's stop short of j
+                    failed, e = ChainFailure(config.seed, lo + j + 1, S[j], cause), j
+                acc[name] = a
+            if failed:
+                raise failed from failed.cause
+            if e in cuts:
+                snapshots.append((lo + e, {k: v / Hs[e] for k, v in acc.items()}))
+            s = e
+        if d < k:
+            raise ChainFailure(config.seed, lo + d + 1, S[d], "divergence")
+        if err is not None:  # unless an earlier state failed first
+            raise ChainFailure(config.seed, lo + k + 1, x, err) from err
+        recs = slice(lo // stride, (lo + m) // stride)
+        states[recs], rec_etas[recs] = X[first::stride], etas[first::stride]
+        H = Hs[-1]
 
     return Trace(
         iterations=iterations,

@@ -149,18 +149,32 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
         B = x[I * L :].reshape(L, J)
         return A, B
 
+    C = _GATHER_BLOCK
+    block = np.empty((2, C, L))  # A[ii, :] and B[:, jj].T of C batch entries
+
+    def neg_residual(A, B, ii, jj, y, out):
+        # (AB)_e - y_e of at most C entries e = (ii, jj) into out's head, from
+        # gathers of rows A[i, :] and B[:, j] into the block, the layout einsum
+        # sums along; take writes out directly only with mode other than "raise"
+        n = ii.size
+        r = np.einsum("ij,ij->i", np.take(A, ii, 0, block[0, :n], "wrap"),
+                      np.take(B.T, jj, 0, block[1, :n], "wrap"), out=out[:n])
+        return np.negative(np.subtract(y, r, out=r), out=r)
+
     def U(x):
+        # the training residual a gather block at a time, squares summed per
+        # block: the I x J product is never formed
         A, B = split(x)
-        resid = y_train - np.einsum("il,lj->ij", A, B)[ti, tj]
-        return 0.5 * float(x @ x) + 0.5 * float(resid @ resid)
+        r, sq = np.empty(min(C, n_train)), 0.0
+        for lo in range(0, n_train, C):
+            rb = neg_residual(A, B, ti[lo:lo + C], tj[lo:lo + C], y_train[lo:lo + C], r)
+            sq += float(rb @ rb)
+        return 0.5 * float(x @ x) + 0.5 * sq
 
     def prior_grad(x):
         return x.copy()
 
-    block = None  # (2, C, L): A[ii, :] and B[:, jj].T of C batch entries
-
     def loglik_batch(x, indices):
-        nonlocal block
         # sum over selected observations of d/dx [0.5*(Y_e - (AB)_e)^2].
         # bincount adds each weight into its bin in order of appearance,
         # starting from 0.0, so repeated entries (with-replacement batches)
@@ -169,20 +183,10 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
         A, B = split(x)
         ii, jj = ti[indices], tj[indices]
         b = ii.size
-        if block is None:
-            block = np.empty((2, _GATHER_BLOCK, L))
-        # the residual C entries at a time, from gathers of B[:, jj] row by
-        # row, the layout einsum sums along; take writes out directly only
-        # with an index mode other than "raise"
-        C = block.shape[1]
         neg_resid = np.empty(b)
         for lo in range(0, b, C):
-            hi = min(lo + C, b)
-            Ag = np.take(A, ii[lo:hi], axis=0, out=block[0, : hi - lo], mode="wrap")
-            Bg = np.take(B.T, jj[lo:hi], axis=0, out=block[1, : hi - lo], mode="wrap")
-            r = np.einsum("ij,ij->i", Ag, Bg, out=neg_resid[lo:hi])
-            np.subtract(y_train[indices[lo:hi]], r, out=r)
-            np.negative(r, out=r)
+            neg_residual(A, B, ii[lo:lo + C], jj[lo:lo + C],
+                         y_train[indices[lo:lo + C]], neg_resid[lo:])
         # then each column's weights in one reused (b,) buffer: read off the
         # block while it holds the whole batch (a strided read of a block in
         # cache beats a second gather), else gathered as contiguous vectors

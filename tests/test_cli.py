@@ -676,11 +676,17 @@ PINNED_SAMPLE = (
 PINNED_SAMPLE_MULTI_CHUNK = (
     "23321b6bc88058044753e4e6a73887723c2dd600d9f724d11c827ab53a87082b",
     "e8e29fe4fc7fcf7feacac52a94e2e2bf15bd0536c2a4a2561adcdfb06a0247ae")
+# the same 10 000 rows under --schedule poly:1e-3,0.7, whose eta column
+# varies down every row chunk; recorded before the writer gave a constant
+# eta column its own row template
+PINNED_SAMPLE_POLY = (
+    "ff62c364d732aefb99f16c7604846e7d0879db5f0a2a018ffdb50122275c0ea6",
+    "1ec1881b7aff9c54f64fcadd7b7564954ddc6e30d8668c4bc7dbbe7991c41ea1")
 
 
-def _sample_digests(tmp_path, n, stride):
+def _sample_digests(tmp_path, n, stride, schedule="const:0.002"):
     out = tmp_path / "s.csv"
-    assert main(["sample", "--alpha", "1.7", "--schedule", "const:0.002",
+    assert main(["sample", "--alpha", "1.7", "--schedule", schedule,
                  "--n", n, "--stride", stride, "--init", "-3.6",
                  "--out", str(out)]) == 0
     return tuple(hashlib.sha256(p.read_bytes()).hexdigest()
@@ -693,6 +699,11 @@ def test_sample_pinned_bytes(tmp_path):
 
 def test_sample_pinned_bytes_multi_chunk(tmp_path):
     assert _sample_digests(tmp_path, "10000", "1") == PINNED_SAMPLE_MULTI_CHUNK
+
+
+def test_sample_pinned_bytes_varying_eta(tmp_path):
+    assert _sample_digests(tmp_path, "10000", "1",
+                           "poly:1e-3,0.7") == PINNED_SAMPLE_POLY
 
 
 def test_sample_has_no_batch_flag(tmp_path, capsys):

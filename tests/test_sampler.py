@@ -3,6 +3,7 @@ stream discipline, and failure reporting."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -925,6 +926,73 @@ def test_reference_cases_reach_every_outcome():
         assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, gs, True))
         kinds.append(_run_key(got)[4] if isinstance(got, ChainFailure) else "ok")
     assert kinds == ["ok", "str", "DriftOverflowError", "ok", "str"]
+
+
+def test_run_chain_diverges_then_overflows_within_a_piece():
+    # the chain passes the bound at step 4 at a finite state where the
+    # drift overflows: step 5, in the same 7-step piece, raises, and the
+    # per-piece scan must still report the earlier divergence
+    cfg = _edge_cfgs("full")[2]
+    gs = {"x": lambda x: x}
+    with mock.patch.object(sampler, "_NOISE_CHUNK", 7):
+        got = _chain_run(cfg, DW, gs, True)
+    assert _run_key(got) == _run_key(_reference_run_chain(cfg, DW, gs, True))
+    assert (got.n, got.cause) == (4, "divergence") and math.isfinite(got.state)
+    with pytest.raises(DriftOverflowError):
+        full_drift(DW, got.state, cfg.drift_spec, cfg.alpha)
+
+
+# gradients that push a 2-D state out: "cubic" passes the bound at a finite
+# state at step 9, then reaches inf at step 12 and NaN (inf - inf) at 13;
+# "exp" goes straight to inf at step 5 and to NaN at 6. Each stays inside
+# its 7-step piece, whose later steps run on, discarded.
+_RUNAWAY = {"cubic": (lambda v: v - v * v * v, 0.05, 2, 9),
+            "exp": (lambda v: v - np.exp(v), 0.1, 0, 5)}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNAWAY))
+def test_vector_chain_fails_mid_piece_without_warnings(kind):
+    grad, eta, seed, n = _RUNAWAY[kind]
+    target = Target(dim=2, potential=lambda v: 0.0, gradient=grad)
+    cfg = SamplerConfig(alpha=1.5, drift_spec=Simplified(), schedule=Constant(eta),
+                        iterations=40, seed=seed, initial_state=np.array([1.5, -0.5]))
+    gs = {"x": lambda x: x}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the reference steps warn
+        want = _reference_run_chain(cfg, target, gs, True)
+    with mock.patch.object(sampler, "_NOISE_CHUNK", 7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _chain_run(cfg, target, gs, True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _chain_run(cfg, target, gs, True)
+    assert _run_key(got) == _run_key(want)
+    assert (got.n, got.cause) == (n, "divergence") and caught == []
+
+
+def _raises_above(limit, label):
+    def g(x):
+        if x > limit:
+            raise ZeroDivisionError(label)
+        return x
+    return g
+
+
+@pytest.mark.parametrize("limits", [(-3.25, -3.35), (-3.35, -3.25), (-3.35, -3.35)])
+def test_test_function_failures_keep_step_then_name_order(limits):
+    # each test function raises above its own limit, -3.35 first at step 29
+    # and -3.25 at step 33, both in the 7-step piece of steps 29 to 35: the
+    # failure is the first step at which any raises, and at one step the
+    # first function
+    cfg = SamplerConfig(alpha=1.5, drift_spec=Simplified(), schedule=Constant(0.02),
+                        iterations=300, seed=3, initial_state=-3.6)
+    gs = {"a": _raises_above(limits[0], "a"), "b": _raises_above(limits[1], "b")}
+    with mock.patch.object(sampler, "_NOISE_CHUNK", 7):
+        got = _chain_run(cfg, DW, gs, False)
+    assert isinstance(got, ChainFailure)
+    assert _run_key(got) == _run_key(_reference_run_chain(cfg, DW, gs, False))
+    assert str(got.cause) == ("a" if limits[0] <= limits[1] else "b")
 
 
 def test_nan_coordinate_fails_vector_chain_at_that_step():

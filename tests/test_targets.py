@@ -213,6 +213,36 @@ def test_mf_gradient_working_set_is_bounded():
     assert kept < 1e6
 
 
+@pytest.mark.parametrize("block", [1, 7, targets._GATHER_BLOCK])
+def test_mf_potential_sums_across_gather_blocks(block):
+    # the residual's squares, summed a block at a time, against the
+    # residual read off the whole product
+    with mock.patch.object(targets, "_GATHER_BLOCK", block):
+        t = synthetic_mf_target(9, 8, 3, seed=2)
+    x = np.random.default_rng(19).standard_normal(t.dim)
+    ti, tj = t.info["train_idx"][:, 0], t.info["train_idx"][:, 1]
+    A, B = x[:27].reshape(9, 3), x[27:].reshape(3, 8)
+    resid = t.info["Y"][ti, tj] - (A @ B)[ti, tj]
+    want = 0.5 * float(x @ x) + 0.5 * float(resid @ resid)
+    assert t.potential(x) == pytest.approx(want, rel=1e-12)
+
+
+def test_mf_potential_never_forms_the_product():
+    # at 600x800, L = 10 the I x J product is 3.84 MB: forming it, then
+    # gathering the 432 000-odd training entries, peaked at 7.3 MB. The
+    # residual taken through the target's gather block, 4 096 entries at a
+    # time, peaked at 0.1 MB
+    t = synthetic_mf_target(600, 800, 10)
+    x = np.random.default_rng(3).standard_normal(t.dim)
+    tracemalloc.start()
+    try:
+        t.potential(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
 def test_loglik_batch_reuses_no_stale_buffer():
     # one target across batch lengths 1, N_Y, 4, N_Y, 4: its gather block
     # is kept across calls and lengths, and every result is its own array
