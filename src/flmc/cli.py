@@ -149,7 +149,14 @@ def resolve_truth(fixtures_path):
     if fixtures_path:
         with open(fixtures_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return float(data["double_well_mean"]["value"])
+        try:
+            value = data["double_well_mean"]["value"]
+            if type(value) in (int, float) and math.isfinite(value):  # no bool
+                return float(value)
+        except (KeyError, TypeError, OverflowError):  # not an object; a huge int
+            pass
+        raise UsageError(f"fixtures file '{fixtures_path}' needs a finite "
+                         "number at double_well_mean.value")
     return quadrature_expectation(double_well_target(), lambda x: x,
                                   QuadratureSpec())
 
@@ -360,16 +367,15 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
 def mf_rmse_curve(target, alpha, schedule, n_steps, batch_size, seed, stride):
     """Held-out RMSE of the running posterior-mean predictor, every stride."""
     I, J, L = target.info["I"], target.info["J"], target.info["L"]
-    test_idx = target.info["test_idx"]
-    Y = target.info["Y"]
-    ti, tj = test_idx[:, 0], test_idx[:, 1]
-    y_test = Y[ti, tj]
+    test = target.info["test_idx"] @ np.array([J, 1])  # row-major flat indices
+    y_test = np.take(target.info["Y"], test)
 
-    def predictor(x):
-        # only the test entries are read; indexing the product keeps their bits
-        A = x[: I * L].reshape(I, L)
-        B = x[I * L:].reshape(L, J)
-        return (A @ B)[ti, tj]
+    def predictor(X):
+        # a row of test entries per state, taken from its product bit for bit
+        out = np.empty((len(X), test.size))
+        for row, x in zip(out, X):
+            np.take(x[:I * L].reshape(I, L) @ x[I * L:].reshape(L, J), test, out=row)
+        return out
 
     # child 2: children 0 and 1 seed the chain's noise and minibatch streams
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
@@ -377,12 +383,9 @@ def mf_rmse_curve(target, alpha, schedule, n_steps, batch_size, seed, stride):
     cfg = SamplerConfig(alpha=alpha, drift_spec=Simplified(), schedule=schedule,
                         iterations=n_steps, seed=seed, initial_state=x0,
                         minibatch_size=batch_size, record_stride=stride)
-    trace = run_chain(cfg, target, {"pred": predictor}, snapshot_estimates=True)
-    curve = []
-    for n, est in trace.snapshots:
-        resid = y_test - est["pred"]
-        curve.append((n, float(np.sqrt(np.mean(resid * resid)))))
-    return curve
+    trace = run_chain(cfg, target, predictor)
+    return [(n, float(np.sqrt(np.mean((y_test - est) ** 2))))
+            for n, est in zip(trace.iterations.tolist(), trace.running)]
 
 
 def mf_report(alphas, I, J, L, data_seed, schedule, n_steps, batch_size,
@@ -422,7 +425,7 @@ def cmd_sample(args) -> int:
                         iterations=args.n, seed=args.seed,
                         initial_state=float(args.init),
                         record_stride=args.stride)
-    trace = run_chain(cfg, target, {"x": lambda x: x} if target.dim == 1 else {})
+    trace = run_chain(cfg, target, lambda x: x)
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
     # '%.17g' % v and format(v, '.17g') use the same float formatter, so
@@ -448,7 +451,7 @@ def cmd_sample(args) -> int:
             "record_stride": args.stride,
         },
         "H_N": trace.H_N,
-        "estimates": trace.estimates,
+        "estimates": {"x": trace.estimate},
         "final_state": trace.final_state,
         "version": __version__,
         "timestamp": None,

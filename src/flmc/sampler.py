@@ -10,8 +10,8 @@ steps many 1-D chains in lockstep, each bitwise equal to its run_chain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,9 +117,9 @@ class Trace:
     states: np.ndarray              # (n_recorded, D)
     etas: np.ndarray                # step sizes at the recorded steps
     H_N: float                      # sum of all step sizes, recorded or not
-    estimates: dict                 # name -> sum of eta_n * g(x_n) / H_N
+    estimate: Optional[np.ndarray]  # sum of eta_n * g(x_n) / H_N; None without g
+    running: Optional[np.ndarray]   # the estimate at each recorded step
     final_state: np.ndarray
-    snapshots: list = field(default_factory=list)  # (n, {name: estimate}) at records
 
 
 def _streams(seed: int):
@@ -166,9 +166,8 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
 
 
 def run_chain(config: SamplerConfig, target: Target,
-              test_functions: Optional[Mapping[str, Callable]] = None,
-              snapshot_estimates: bool = False) -> Trace:
-    """Run the configured number of steps and accumulate the estimators.
+              g: Optional[Callable] = None) -> Trace:
+    """Run the configured number of steps and accumulate the estimator of g.
 
     The noise is drawn from the noise substream a piece at a time, of at
     most _NOISE_CHUNK steps and at most stable._CHUNK draws (one step at
@@ -176,11 +175,13 @@ def run_chain(config: SamplerConfig, target: Target,
     dimension; each piece is bit for bit its rows of one whole-chain block,
     drawn, mapped and scaled into one piece-sized block reused throughout.
     A step stores x + eta * drift(x) + jump in the row whose increment it
-    took. Once per piece, a scan finds the first state past the bound, the
-    test functions run down the states before it, and one accumulate sums
-    the step sizes. The chain fails at the first step whose drift raises an
-    ArithmeticError (at the state before it), whose state passes the bound,
-    or whose test function raises one.
+    took. Once per piece, a scan finds the first state past the bound, then
+    g takes the piece's states, (m,) on a 1-D target and (m, D) otherwise,
+    and returns a row per state (trailing axes hold several functions);
+    run_ensemble's carried accumulate sums eta_n * g(x_n) and the step
+    sizes down the rows. The chain fails at the first step whose drift
+    raises an ArithmeticError (at the state before it) or whose state
+    passes the bound; an error of g's is its own.
     """
     if config.minibatch_size is not None and target.data_size <= 0:
         raise ValueError("minibatch configured but target has no data terms")
@@ -190,12 +191,11 @@ def run_chain(config: SamplerConfig, target: Target,
         raise ValueError(f"1-D target needs a scalar initial state, got {x.size} values")
     # a Python float step costs a fraction of a size-1 array step
     x = x.item() if D == 1 else x.reshape(D)
-    gs = dict(test_functions or {})
     noise_rng, batch_rng = _streams(config.seed)
     drift = _drift_fn(config, target, batch_rng)
     iterations = np.arange(stride, N + 1, stride)
     states, rec_etas = np.empty((iterations.size, D)), np.empty(iterations.size)
-    snapshots, acc, H = [], {name: 0.0 for name in gs}, 0.0
+    acc, running, H = 0.0, None, 0.0
     draw = vw_stream(noise_rng, N * D)
     piece = min(_NOISE_CHUNK, max(1, stable._CHUNK // D), N)
     block = np.empty(piece * D)
@@ -216,42 +216,29 @@ def run_chain(config: SamplerConfig, target: Target,
             except ArithmeticError as e:  # numerical failure is a chain outcome
                 k, err = i, e
         ok = np.abs(X[:k]).max(axis=1) <= _DIVERGENCE_BOUND  # NaN fails it
-        d = k if ok.all() else int(ok.argmin())
-        Hs = np.add.accumulate(np.concatenate(([H], etas))).tolist()  # H at each step
-        first = (-lo - 1) % stride  # the piece's first recorded row
-        cuts = range(first + 1, d + 1, stride) if snapshot_estimates else ()
-        s, failed = 0, None
-        for e in sorted({*cuts, d}):
-            for name, g in gs.items():  # each g down the states in step order
-                a = acc[name]
-                try:
-                    for j, eta, xj in zip(range(s, e), E[s:e], S[s:e]):
-                        a = a + eta * g(xj)
-                except ArithmeticError as cause:  # the next g's stop short of j
-                    failed, e = ChainFailure(config.seed, lo + j + 1, S[j], cause), j
-                acc[name] = a
-            if failed:
-                raise failed from failed.cause
-            if e in cuts:
-                snapshots.append((lo + e, {k: v / Hs[e] for k, v in acc.items()}))
-            s = e
-        if d < k:
+        if not ok.all():
+            d = int(ok.argmin())
             raise ChainFailure(config.seed, lo + d + 1, S[d], "divergence")
         if err is not None:  # unless an earlier state failed first
             raise ChainFailure(config.seed, lo + k + 1, x, err) from err
+        first = (-lo - 1) % stride  # the piece's first recorded row
         recs = slice(lo // stride, (lo + m) // stride)
         states[recs], rec_etas[recs] = X[first::stride], etas[first::stride]
-        H = Hs[-1]
-
-    return Trace(
-        iterations=iterations,
-        states=states,
-        etas=rec_etas,
-        H_N=H,
-        estimates={k: v / H for k, v in acc.items()},
-        final_state=np.atleast_1d(np.asarray(x, dtype=float)),
-        snapshots=snapshots,
-    )
+        Hs = np.add.accumulate(np.concatenate(([H], etas)))[1:]  # H at each step
+        H = float(Hs[-1])
+        if g is not None:
+            G = np.asarray(g(X[:, 0] if D == 1 else X))
+            col = (-1,) + (1,) * (G.ndim - 1)  # broadcasts one value per row
+            G = G * etas.reshape(col)
+            G[0] += acc
+            acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()
+            if running is None:
+                running = np.empty(iterations.shape + G.shape[1:])
+            running[recs] = G[first::stride] / Hs[first::stride].reshape(col)
+            del G  # not held through the next piece's steps
+    return Trace(iterations, states, rec_etas, H,
+                 None if g is None else acc / H, running,
+                 np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -293,23 +280,23 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     The configs share iterations, and either all take the simplified drift
     or all take the full drift with one alpha < 2 and one K; each has its
     own seed, schedule and initial state, and its own alpha or h. Entry r
-    is the estimate of g that run_chain(configs[r], target, {"g": g})
-    returns, bit for bit, or the ChainFailure it raises (same step, state
-    and cause). Each step evaluates every chain's drift at once, as
-    -c_alpha * U'(x) on the (R,) state or on one (R, 2K+1) stencil table,
-    and writes x + eta * drift + jump into a row of an (m, R) block, with
-    no check. The rest is done once per chunk of m <= _NOISE_CHUNK steps:
-    g is called on the (m, R) block, the estimator and step-size sums run
-    down its columns in run_chain's order, and the one failure scan finds
-    each live row's first state past the bound. A non-finite drift makes
-    its step's state non-finite, so that state is the row's first event:
-    a full-drift row whose drift at the state before it is not finite
-    failed there with DriftOverflowError, as run_chain raises it, and any
-    other row diverged. g and the target's potential and gradient must act
-    elementwise on arrays, rounding as they do on Python floats. Each
-    chain's noise comes _NOISE_CHUNK steps at a time from its own stream,
-    one _increments call per chunk for the chains of one alpha and
-    schedule.
+    is run_chain(configs[r], target, g).estimate, bit for bit, or the
+    ChainFailure it raises (same step, state and cause). Each step
+    evaluates every chain's drift at once, as -c_alpha * U'(x) on the (R,)
+    state or on one (R, 2K+1) stencil table, and writes
+    x + eta * drift + jump into a row of an (m, R) block, with no check.
+    The rest is done once per chunk of m <= _NOISE_CHUNK steps: the one
+    failure scan finds each live chain's first state past the bound, and
+    g takes the (m, R) block, a row per step as in run_chain, whose carried
+    accumulate sums eta_n * g(x_n) and the step sizes down each column. A
+    non-finite drift makes its step's state non-finite, so that state is
+    the chain's first event: a full-drift chain whose drift at the state
+    before it is not finite failed there with DriftOverflowError, as
+    run_chain raises it, and any other chain diverged. g and the target's
+    potential and gradient must act elementwise on arrays, rounding as
+    they do on Python floats. Each chain's noise comes _NOISE_CHUNK steps
+    at a time from its own stream, one _increments call per chunk for the
+    chains of one alpha and schedule.
     """
     if not configs:
         return []
@@ -382,8 +369,8 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                         state, cause = prev, e
                 out[r] = ChainFailure(configs[r].seed, lo + k + 1, state, cause)
                 live[r] = False
-            # the sums of run_chain, term by term: the first row takes the
-            # carried sum, and accumulate adds down each column in order
+            # run_chain's sums: the first row takes the carried sum, and
+            # accumulate adds down each column in order
             G = np.multiply(g(Xm), E, out=J)
             G[0] += acc
             acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()

@@ -29,7 +29,7 @@ def _sequential_repeats(cfg, target, g, repeats, truth, initial_states=None):
     for s, x0 in zip(repeat_seeds(cfg.seed, repeats), starts, strict=True):
         chain = replace(cfg, seed=s, initial_state=x0, record_stride=cfg.iterations)
         try:
-            outcomes.append(run_chain(chain, target, {"g": g}).estimates["g"])
+            outcomes.append(run_chain(chain, target, g).estimate)
         except ChainFailure as e:
             outcomes.append(e)
     return summarize_repeats(outcomes, truth)

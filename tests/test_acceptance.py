@@ -18,7 +18,8 @@ from flmc.cli import (alpha_sweep_report, bias_sweep_report, kappa_report,
                       main, mf_rmse_curve)
 from flmc.drift import Simplified
 from flmc.riesz import build_stencil, c_alpha, coeff, truncated_centered_difference
-from flmc.sampler import (Constant, Polynomial, SamplerConfig, run_chain)
+from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
+                          run_chain)
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (double_well_target, draw_minibatch, gaussian_target,
                           sg_gradient, synthetic_mf_target)
@@ -249,7 +250,7 @@ def test_criterion_8_subsampled_gradient_contract():
             c20 = mf_rmse_curve(big, 2.0, Constant(3e-5), n_steps, batch, seed, stride)
             thr = c20[-1][1]
             c15 = mf_rmse_curve(big, 1.5, Constant(3e-5), n_steps, batch, seed, stride)
-        except Exception:
+        except ChainFailure:
             deaths += 1
             continue
         iters_gauss.append(next((n for n, r in c20 if r <= thr), n_steps + stride))

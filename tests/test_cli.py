@@ -92,6 +92,37 @@ def test_resolve_truth_fixture_and_quadrature(oracle_values):
     assert resolve_truth(None) == pytest.approx(ref, abs=1e-9)
 
 
+def _fixtures_file(tmp_path, text):
+    path = tmp_path / "fixtures.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("text", ['{"x": 1}', "[1]", '{"double_well_mean": [1]}',
+                                  '{"double_well_mean": {}}'])
+def test_resolve_truth_rejects_a_missing_value(tmp_path, text):
+    with pytest.raises(UsageError, match="double_well_mean.value"):
+        resolve_truth(_fixtures_file(tmp_path, text))
+
+
+@pytest.mark.parametrize("value", ['"0.25"', "true", "null", "[0.25]"])
+def test_resolve_truth_rejects_a_non_numeric_value(tmp_path, value):
+    with pytest.raises(UsageError, match="double_well_mean.value"):
+        resolve_truth(_fixtures_file(
+            tmp_path, '{"double_well_mean": {"value": %s}}' % value))
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e999", "huge-int"])
+def test_resolve_truth_rejects_a_non_finite_value(tmp_path, value):
+    # json reads NaN and Infinity as floats, and 1e999 as inf; an integer
+    # too large for a float has no finite value either
+    with pytest.raises(UsageError, match="double_well_mean.value"):
+        resolve_truth(_fixtures_file(
+            tmp_path, '{"double_well_mean": {"value": %s}}' % value))
+
+
 # ---------------------------------------------------------------------------
 # formatting / report plumbing
 # ---------------------------------------------------------------------------
@@ -449,20 +480,8 @@ def test_mf_full_batch_curve_equals_exact_gradient_curve():
     # chain, so the two RMSE curves agree point for point
     t = synthetic_mf_target(8, 6, 2, seed=1)
     curve_sg = mf_rmse_curve(t, 1.6, Constant(1e-3), 300, t.data_size, 9, 75)
-    I, J, L = t.info["I"], t.info["J"], t.info["L"]
-    ti, tj = t.info["test_idx"][:, 0], t.info["test_idx"][:, 1]
-    y_test = t.info["Y"][ti, tj]
-
-    def predictor(x):
-        return x[: I * L].reshape(I, L) @ x[I * L:].reshape(L, J)
-
-    rng = np.random.default_rng(np.random.SeedSequence(9).spawn(3)[2])
-    x0 = rng.standard_normal(t.dim)
-    cfg = SamplerConfig(alpha=1.6, drift_spec=Simplified(), schedule=Constant(1e-3),
-                        iterations=300, seed=9, initial_state=x0, record_stride=75)
-    trace = run_chain(cfg, t, {"pred": predictor}, snapshot_estimates=True)
-    curve_exact = [(n, float(np.sqrt(np.mean((y_test - est["pred"][ti, tj]) ** 2))))
-                   for n, est in trace.snapshots]
+    curve_exact = mf_rmse_curve(t, 1.6, Constant(1e-3), 300, None, 9, 75)
+    assert [n for n, _ in curve_sg] == [75, 150, 225, 300]
     assert curve_sg == curve_exact
 
 
@@ -652,6 +671,19 @@ def test_sweep_usage_error_exits_two(tmp_path, argv):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("text", ['{"x": 1}', "[1]"])
+@pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
+def test_sweep_fixtures_without_value_exit_two(tmp_path, cmd, text):
+    # a fixtures file with no double_well_mean.value is a usage error, not
+    # a traceback
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, out = _run_main([cmd, "--n", "5", "--repeats", "2", "--fixtures",
+                           _fixtures_file(tmp_path, text), "--outdir", str(outdir)])
+    assert (code, out) == (2, "")
+    assert os.listdir(outdir) == []
+
+
 @pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
 def test_sweep_all_diverging_exits_zero_with_nan_rows(tmp_path, cmd):
     # every repeat of every cell fails, the alpha = 2 ones included: an
@@ -732,7 +764,7 @@ def test_sample_csv_matches_per_cell_formatting(tmp_path):
     cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
                         schedule=Polynomial(1e-3, 0.7), iterations=3000,
                         seed=42, initial_state=0.0)
-    trace = run_chain(cfg, double_well_target(), {"x": lambda x: x})
+    trace = run_chain(cfg, double_well_target())
     lines = ["n,eta,x_0\n"]
     for i in range(len(trace.iterations)):
         cells = [str(int(trace.iterations[i])), format(float(trace.etas[i]), ".17g")]
