@@ -3,15 +3,18 @@ CSV/JSON reports.
 
 Everything here is plumbing around the library modules. Reports are
 deterministic given flags and seed: floats print with 17 significant
-digits, rows are assembled in sorted parameter order, metadata carries the
-full configuration echo with a null timestamp. Environment variables only
-set verbosity (FLMC_VERBOSE) and the default output directory
-(FLMC_OUTDIR).
+digits ('%.17g'), rows are assembled in sorted parameter order, a CSV
+field that holds a comma is quoted, metadata carries the full
+configuration echo with a null timestamp. `flmc sample` writes its trace
+through csvtext.encode_rows, or a '%' template for a chunk it declines.
+Environment variables only set verbosity (FLMC_VERBOSE) and the default
+output directory (FLMC_OUTDIR).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -22,6 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from .csvtext import encode_rows
 from .drift import DriftOverflowError, FullCentered, Simplified, kappa
 from .oracle import (QuadratureError, QuadratureSpec, SupportError,
                      quadrature_expectation)
@@ -57,7 +61,7 @@ SCHEDULE_GRID = tuple(
     + [Constant(e) for e in (0.002, 0.005, 0.01)]
 )
 
-_ROW_CHUNK = 4096  # trace rows `flmc sample` converts and writes at a time
+_ROW_CHUNK = 2048  # trace rows `flmc sample` converts and writes at a time
 
 
 class UsageError(Exception):
@@ -205,11 +209,11 @@ def write_json(obj, path):
 
 
 def write_report(report: ExperimentReport, out_path: str):
-    """CSV to out_path, metadata JSON alongside it."""
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(report.columns) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    """CSV to out_path (a field holding a comma is quoted), metadata JSON beside it."""
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(report.columns)
+        writer.writerows([_fmt(v) for v in row] for row in report.rows)
     meta = dict(report.metadata)
     meta.setdefault("experiment", report.name)
     meta.setdefault("version", __version__)
@@ -428,21 +432,22 @@ def cmd_sample(args) -> int:
     trace = run_chain(cfg, target, lambda x: x)
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
-    # '%.17g' % v and format(v, '.17g') use the same float formatter, so
-    # the rows match _fmt's; converting _ROW_CHUNK rows at a time, inside
-    # the writelines call, keeps no list past its chunk. A chunk's eta
-    # column that holds one value (any const: schedule) is formatted once
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    # encode_rows writes a chunk's rows as the '%' template below does, or
+    # declines the chunk; '%.17g' % v and format(v, '.17g') use the same
+    # float formatter, so the rows match _fmt's. A chunk's eta column that
+    # holds one value (any const: schedule) is formatted once
+    with open(out, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
         for lo in range(0, trace.iterations.size, _ROW_CHUNK):
-            rows = slice(lo, lo + _ROW_CHUNK)
-            eta = trace.etas[rows]
-            const = (eta == eta[0]).all()
-            row = ("%d," + (format(float(eta[0]), ".17g") if const else "%.17g")
-                   + ",%.17g" * target.dim + "\n")
-            fh.writelines(map(row.__mod__, zip(
-                trace.iterations[rows].tolist(), *([] if const else [eta.tolist()]),
-                *trace.states[rows].T.tolist())))
+            n, eta, states = (a[lo:lo + _ROW_CHUNK] for a in
+                              (trace.iterations, trace.etas, trace.states))
+            text = encode_rows(n, eta, states, format(eta[0], ".17g")
+                               if (eta == eta[0]).all() else None)
+            if text is None:
+                row = "%d" + ",%.17g" * (1 + target.dim) + "\n"
+                text = "".join(map(row.__mod__, zip(
+                    n.tolist(), eta.tolist(), *states.T.tolist()))).encode("ascii")
+            fh.write(text)
     summary = {
         "config": {
             "target": args.target, "alpha": args.alpha,

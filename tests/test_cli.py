@@ -1,6 +1,7 @@
 """Flag grammar, report formats, exit codes, and output determinism."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -446,6 +447,21 @@ def test_alpha_sweep_report_pinned_bytes(tmp_path, m_star):
     assert digests == PINNED_ALPHA_SWEEP
 
 
+def test_alpha_sweep_csv_quotes_a_poly_schedule(tmp_path, m_star):
+    # a poly: label holds a comma; the row must still read back as five
+    # fields, and the schedule field must parse back to the schedule
+    sched = Polynomial(1e-8, 0.7)
+    rep = alpha_sweep_report(double_well_target(), (1.7,), 10, 1, 0, "wells",
+                             m_star, grid=(sched,))
+    out = tmp_path / "alpha.csv"
+    write_report(rep, str(out))
+    assert out.read_text().splitlines()[1].startswith('1.7,"poly:1e-08,0.7",')
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [5, 5]
+    assert parse_schedule(rows[1][1]) == sched
+
+
 def test_repeated_values_give_one_row_each(m_star):
     sched = Polynomial(1e-7, 0.6)
     args = (200, 2, 7, "wells", m_star)
@@ -771,6 +787,42 @@ def test_sample_csv_matches_per_cell_formatting(tmp_path):
         cells += [format(float(v), ".17g") for v in trace.states[i]]
         lines.append(",".join(cells) + "\n")
     assert (tmp_path / "trace.csv").read_bytes() == "".join(lines).encode()
+
+
+@pytest.mark.parametrize("target, schedule, n, stride, encoded", [
+    # eta = 0.02 / n falls below 1e-6 after step 20 000: the row chunks
+    # before that are encoded, the one across it and those after it not
+    ("gaussian", "poly:0.02,1", 24000, 1, True),
+    ("double-well", "poly:0.02,1", 96000, 4, True),
+    # states near 1e-177: every chunk goes through the '%' template
+    ("gaussian:0,1", "const:1e-300", 5000, 1, False),
+])
+def test_sample_csv_mixing_encoded_and_declined_chunks(tmp_path, monkeypatch,
+                                                      target, schedule, n,
+                                                      stride, encoded):
+    seen, encode = [], cli.encode_rows
+
+    def spy(*args):
+        text = encode(*args)
+        seen.append(text is not None)
+        return text
+
+    monkeypatch.setattr(cli, "encode_rows", spy)
+    out = tmp_path / "t.csv"
+    assert main(["sample", "--target", target, "--schedule", schedule,
+                 "--n", str(n), "--stride", str(stride), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert False in seen and (True in seen) == encoded
+    cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                        schedule=parse_schedule(schedule), iterations=n, seed=0,
+                        initial_state=0.0, record_stride=stride)
+    trace = run_chain(cfg, build_target(target))
+    lines = ["n,eta,x_0\n"]
+    for i in range(len(trace.iterations)):
+        cells = [str(int(trace.iterations[i])), format(float(trace.etas[i]), ".17g")]
+        cells += [format(float(v), ".17g") for v in trace.states[i]]
+        lines.append(",".join(cells) + "\n")
+    assert out.read_bytes() == "".join(lines).encode()
 
 
 def test_bias_k_single_cell_cli(tmp_path):

@@ -846,6 +846,16 @@ def _two_columns(X):
     return np.stack([X[:, 0], X[:, 0] * X[:, -1]], axis=1)
 
 
+_WIDE = np.arange(1, 301) / 7.0
+
+
+def _wide_columns(X):
+    # 300 test functions: a row too wide for accumulate, which run_chain
+    # sums by row adds instead
+    X = X.reshape(len(X), -1)
+    return X[:, :1] * _WIDE + X[:, -1:]
+
+
 _MF = synthetic_mf_target(3, 4, 1, seed=2)
 _REFERENCE_TARGETS = {
     "double-well": DW,
@@ -885,7 +895,8 @@ def _reference_cases(draw):
             st.builds(Constant, st.sampled_from((0.002, 0.02, 0.1, 0.5, 5.0))))),
         iterations=draw(st.integers(1, 120)), seed=draw(st.integers(0, 2**32 - 1)),
         initial_state=x0, record_stride=draw(st.integers(1, 40)), **kw)
-    return cfg, target, draw(st.sampled_from((7, 1024)))
+    return (cfg, target, draw(st.sampled_from((7, 1024))),
+            draw(st.sampled_from((_two_columns, _wide_columns))))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # chains that overflow
@@ -894,10 +905,10 @@ def _reference_cases(draw):
 def test_run_chain_equals_two_branch_reference(case):
     # g called once per piece on its block of states sums, bit for bit, as
     # the reference's per-state terms do, the running estimate included
-    cfg, target, chunk = case
+    cfg, target, chunk, g = case
     with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
-        got = _chain_run(cfg, target, _two_columns)
-    assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, _two_columns))
+        got = _chain_run(cfg, target, g)
+    assert _run_key(got) == _run_key(_reference_run_chain(cfg, target, g))
 
 
 def test_reference_cases_reach_every_outcome():
