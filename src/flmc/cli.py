@@ -14,7 +14,6 @@ output directory (FLMC_OUTDIR).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -25,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .csvtext import encode_rows
 from .drift import DriftOverflowError, FullCentered, Simplified, kappa
 from .oracle import (QuadratureError, QuadratureSpec, SupportError,
                      quadrature_expectation)
@@ -210,6 +208,7 @@ def write_json(obj, path):
 
 def write_report(report: ExperimentReport, out_path: str):
     """CSV to out_path (a field holding a comma is quoted), metadata JSON beside it."""
+    import csv  # here, so a subcommand that writes no report never loads it
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report.columns)
@@ -434,19 +433,22 @@ def cmd_sample(args) -> int:
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
     # encode_rows writes a chunk's rows as the '%' template below does, or
     # declines the chunk; '%.17g' % v and format(v, '.17g') use the same
-    # float formatter, so the rows match _fmt's. A chunk's eta column that
-    # holds one value (any const: schedule) is formatted once
+    # float formatter, so the rows match _fmt's. Either way a chunk's eta
+    # column that holds one value (any const: schedule) is formatted once
+    from .csvtext import encode_rows  # no other subcommand loads it
     with open(out, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for lo in range(0, trace.iterations.size, _ROW_CHUNK):
             n, eta, states = (a[lo:lo + _ROW_CHUNK] for a in
                               (trace.iterations, trace.etas, trace.states))
-            text = encode_rows(n, eta, states, format(eta[0], ".17g")
-                               if (eta == eta[0]).all() else None)
+            text = encode_rows(n, eta, states)
             if text is None:
-                row = "%d" + ",%.17g" * (1 + target.dim) + "\n"
+                const = (eta == eta[0]).all()
+                row = ("%d," + (format(eta[0], ".17g") if const else "%.17g")
+                       + ",%.17g" * target.dim + "\n")
                 text = "".join(map(row.__mod__, zip(
-                    n.tolist(), eta.tolist(), *states.T.tolist()))).encode("ascii")
+                    n.tolist(), *([] if const else [eta.tolist()]),
+                    *states.T.tolist()))).encode("ascii")
             fh.write(text)
     summary = {
         "config": {

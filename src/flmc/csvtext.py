@@ -24,14 +24,10 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 _DECADES = np.array([np.nextafter(1e-6, 1)] + [float(f"1e{E}") for E in range(-5, 18)])
 
 
-def _decimal(v):
+def _decimal(v, E):
     """(N, E): |v| rounded half-even to N * 10**(E - 16) with 10**16 <= N <
-    10**17, or None when a value lies outside the decades -6..16."""
-    a = np.abs(v)
-    E = np.searchsorted(_DECADES, a, side="right") - 7  # NaN sorts last
-    if E.min() < -6 or E.max() > 16:
-        return None
-    k = 16 - E
+    10**17, for v whose decade E lies in -6..16."""
+    a, k = np.abs(v), 16 - E
     hi, (ah, al) = a * _POW10[k], _split(a)
     lo = ((ah * _POW10_HI[k] - hi) + ah * _POW10_LO[k] + al * _POW10_HI[k]) \
         + al * _POW10_LO[k]  # Dekker's TwoProduct: hi + lo == a * 10**k
@@ -73,28 +69,33 @@ def _float_rows(v, N, E):
     return rows
 
 
-def encode_rows(n, eta, states, eta_text=None):
+def encode_rows(n, eta, states):
     """The bytes that "%d,%.17g" + ",%.17g" * D + "\\n" writes for the rows
-    (n, eta, states), or None when a column holds +-0, inf, NaN or a value
-    that '%.17g' prints with an exponent outside -6..16, or n holds a
-    negative count. A constant eta column may come formatted as eta_text."""
-    n = np.asarray(n, dtype=np.int64)
+    (n, eta, states), or None when n holds a negative count or a float
+    column holds +-0, inf, NaN or a value that '%.17g' prints with an
+    exponent outside -6..16. An eta column that holds one value (a const:
+    schedule) is formatted once, so that value may lie anywhere."""
+    n, eta = np.asarray(n, dtype=np.int64), np.asarray(eta, dtype=float)
+    const = (eta == eta[0]).all()
+    cols = ([] if const else [eta]) + list(np.asarray(states, dtype=float).T)
     if n.min() < 0:
         return None
+    decades = []
+    for v in cols:  # every range first: a declined block builds no text
+        E = np.searchsorted(_DECADES, np.abs(v), side="right") - 7  # NaN last
+        if E.min() < -6 or E.max() > 16:
+            return None
+        decades.append(E)
     places = 10 ** np.arange(len(str(n.max())) - 1, -1, -1)[:, None]
     digits = np.empty((places.size, n.size), np.uint8)
     np.floor_divide(n, places, out=digits, casting="unsafe")
     digits[1:] -= 10 * digits[:-1]  # as in _float_rows
     digits += 48 * ((n >= places) | (places == 1)).view(np.uint8)
     rows, comma = [digits], np.full((1, n.size), 44, np.uint8)
-    if eta_text is not None:
-        text = np.frombuffer(eta_text.encode("ascii"), np.uint8)[:, None]
-        rows += [comma, np.broadcast_to(text, (text.size, n.size))]
-    for v in ([np.asarray(eta, dtype=float)] if eta_text is None else []) \
-            + list(np.asarray(states, dtype=float).T):
-        parsed = _decimal(v)
-        if parsed is None:
-            return None
-        rows += [comma, *_float_rows(v, *parsed)]
+    if const:
+        text = np.frombuffer(format(eta[0], ".17g").encode("ascii"), np.uint8)
+        rows += [comma, np.broadcast_to(text[:, None], (text.size, n.size))]
+    for v, E in zip(cols, decades):
+        rows += [comma, *_float_rows(v, *_decimal(v, E))]
     block = np.concatenate(rows + [np.full((1, n.size), 10, np.uint8)]).T
     return block.tobytes().translate(None, b"\0")  # one compaction

@@ -231,12 +231,7 @@ def run_chain(config: SamplerConfig, target: Target,
             col = (-1,) + (1,) * (G.ndim - 1)  # broadcasts one value per row
             G = G * etas.reshape(col)
             G[0] += acc
-            if G[0].size > 256:  # accumulate loops once per column: add rows
-                for i in range(1, len(G)):
-                    G[i] += G[i - 1]
-            else:
-                np.add.accumulate(G, axis=0, out=G)
-            acc = G[-1].copy()
+            acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()
             if running is None:
                 running = np.empty(iterations.shape + G.shape[1:])
             running[recs] = G[first::stride] / Hs[first::stride].reshape(col)

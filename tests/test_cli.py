@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flmc import cli
+from flmc import cli, csvtext
 from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       build_target, drift_label, initial_states,
                       kappa_report, main, mf_report,
@@ -794,20 +794,21 @@ def test_sample_csv_matches_per_cell_formatting(tmp_path):
     # before that are encoded, the one across it and those after it not
     ("gaussian", "poly:0.02,1", 24000, 1, True),
     ("double-well", "poly:0.02,1", 96000, 4, True),
-    # states near 1e-177: every chunk goes through the '%' template
-    ("gaussian:0,1", "const:1e-300", 5000, 1, False),
+    # states near 1e-176: every chunk goes through the '%' template, with
+    # the constant eta, printed 3.0000000000000002e-300, formatted once
+    ("gaussian:0,1", "const:3e-300", 5000, 1, False),
 ])
 def test_sample_csv_mixing_encoded_and_declined_chunks(tmp_path, monkeypatch,
                                                       target, schedule, n,
                                                       stride, encoded):
-    seen, encode = [], cli.encode_rows
+    seen, encode = [], csvtext.encode_rows
 
     def spy(*args):
         text = encode(*args)
         seen.append(text is not None)
         return text
 
-    monkeypatch.setattr(cli, "encode_rows", spy)
+    monkeypatch.setattr(csvtext, "encode_rows", spy)
     out = tmp_path / "t.csv"
     assert main(["sample", "--target", target, "--schedule", schedule,
                  "--n", str(n), "--stride", str(stride), "--out", str(out)]) == 0

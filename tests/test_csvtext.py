@@ -13,11 +13,10 @@ _LOWEST = float(np.nextafter(1e-6, 1.0))
 _HIGHEST = float(np.nextafter(1e17, 0.0))
 
 
-def _template(n, eta, states, eta_text=None):
-    row = ("%d," + ("%.17g" if eta_text is None else eta_text)
-           + ",%.17g" * states.shape[1] + "\n")
-    cols = [n.tolist()] + ([eta.tolist()] if eta_text is None else [])
-    return "".join(map(row.__mod__, zip(*cols, *states.T.tolist()))).encode("ascii")
+def _template(n, eta, states):
+    row = "%d,%.17g" + ",%.17g" * states.shape[1] + "\n"
+    cols = [n.tolist(), eta.tolist(), *states.T.tolist()]
+    return "".join(map(row.__mod__, zip(*cols))).encode("ascii")
 
 
 def _fits(v):
@@ -48,10 +47,11 @@ _IN_RANGE = st.builds(lambda a, neg: -a if neg else a,
 @example(v=1.7976931348623157e308, as_eta=True)
 def test_any_double_is_encoded_exactly_or_declined(v, as_eta):
     # every float64, as a state or as an eta: the template's bytes when
-    # '%.17g' prints it with an exponent in -6..16, and None otherwise
+    # '%.17g' prints it with an exponent in -6..16, and None otherwise. The
+    # eta column holds a second value, so it is not formatted once
     n, eta, states = _one(v)
     if as_eta:
-        eta, states = states[0], np.array([[1.5]])
+        n, eta, states = np.array([7, 8]), np.array([v, 0.25]), np.ones((2, 1))
     got = encode_rows(n, eta, states)
     assert got == (_template(n, eta, states) if _fits(v) else None)
 
@@ -65,12 +65,11 @@ def test_in_range_blocks_are_encoded(data, m, dim, const):
     states = np.array(data.draw(st.lists(_IN_RANGE, min_size=m * dim,
                                          max_size=m * dim))).reshape(m, dim)
     eta = np.array(data.draw(st.lists(_IN_RANGE, min_size=m, max_size=m)))
-    eta_text = format(float(eta[0]), ".17g") if const else None
     if const:
         eta[:] = eta[0]
-    got = encode_rows(n, eta, states, eta_text)
+    got = encode_rows(n, eta, states)
     assert got is not None
-    assert got == _template(n, eta, states, eta_text)
+    assert got == _template(n, eta, states)
 
 
 def _edge_values():
@@ -114,10 +113,8 @@ def test_ties_round_half_even_and_zeros_are_trimmed(v, text):
 def test_large_and_zero_counters():
     n = np.array([0, 9, 10, 2**63 - 1])
     states = np.full((4, 1), -3.6)
-    eta = np.full(4, 0.002)
-    for eta_text in (None, "0.002"):
-        assert encode_rows(n, eta, states, eta_text) == _template(n, eta, states,
-                                                                  eta_text)
+    for eta in (np.full(4, 0.002), np.array([0.002, 0.001, 0.003, 0.5])):
+        assert encode_rows(n, eta, states) == _template(n, eta, states)
     assert encode_rows(np.array([-1]), *_one(1.0)[1:]) is None
 
 
@@ -126,3 +123,11 @@ def test_one_value_out_of_range_declines_the_block():
     assert encode_rows(n, eta, np.array([[1.0], [2.0], [3.0]])) is not None
     assert encode_rows(n, eta, np.array([[1.0], [1e-7], [3.0]])) is None
     assert encode_rows(n, np.array([0.5, 0.0, 0.5]), np.ones((3, 1))) is None
+
+
+@pytest.mark.parametrize("v", [1e-300, 0.0, -0.0, float("inf"), 1e17, 1e-7])
+def test_a_constant_eta_is_formatted_once_whatever_its_value(v):
+    # a const: schedule's eta is formatted by format(), so a value outside
+    # the encoded range still leaves the block encoded
+    n, states = np.arange(1, 4), np.array([[1.0], [2.0], [3.0]])
+    assert encode_rows(n, np.full(3, v), states) == _template(n, np.full(3, v), states)

@@ -850,8 +850,8 @@ _WIDE = np.arange(1, 301) / 7.0
 
 
 def _wide_columns(X):
-    # 300 test functions: a row too wide for accumulate, which run_chain
-    # sums by row adds instead
+    # 300 test functions, a block row far wider than a piece is long, as
+    # the MF predictor's entries are
     X = X.reshape(len(X), -1)
     return X[:, :1] * _WIDE + X[:, -1:]
 
