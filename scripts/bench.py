@@ -16,6 +16,10 @@ runs saw. Run k of each checkout on a workload forms one pair, the runs of
 one seed and one turn; for each checkout after the first, `pairs_won`
 counts per workload and metric the pairs whose run beat the first
 checkout's, strictly, in the direction BENCHMARK.json gives the metric.
+Once the file is written, one line per later checkout, workload and
+end-to-end metric goes to stdout: the first checkout's median -> this
+one's, the change in percent, the first checkout's IQR as a share of its
+median, and the pairs won.
 """
 
 from __future__ import annotations
@@ -128,14 +132,22 @@ def main(argv=None) -> int:
     }
     for label in labels[1:]:
         for w in WORKLOADS:
-            won = pairs_won(runs[label][w], runs[labels[0]][w])
-            bench["checkouts"][label]["workloads"][w]["pairs_won"] = won
-            print(f"bench: {label} against {labels[0]} on {w}, pairs won of "
-                  f"{bench['pairs']}: {won}", file=sys.stderr)
+            bench["checkouts"][label]["workloads"][w]["pairs_won"] = pairs_won(
+                runs[label][w], runs[labels[0]][w])
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     print(f"bench: wrote {out}", file=sys.stderr)
+    base = bench["checkouts"][labels[0]]["workloads"]
+    for label in labels[1:]:
+        for w in WORKLOADS:
+            this = bench["checkouts"][label]["workloads"][w]
+            for k in LOWER_IS_BETTER:
+                a, b = base[w]["medians"][k], this["medians"][k]
+                print(f"{w} {k}: {labels[0]} {a:.4g} -> {label} {b:.4g} "
+                      f"({(b - a) / a:+.1%}); {labels[0]} IQR "
+                      f"{base[w]['iqrs'][k] / a:.1%} of median; pairs won "
+                      f"{this['pairs_won'][k]} of {bench['pairs']}")
     return 0
 
 

@@ -255,27 +255,27 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
 
     Cells share the base seed, so cells differing only in (h, K) see the
     same noise streams; failed repeats are excluded and counted per cell.
-    Each (alpha, K) with alpha < 2 runs every h and repeat as one
-    run_ensemble call. At alpha = 2 the full drift is -U'(x) whatever h
-    and K, which is the simplified drift, so one simplified-drift ensemble
-    serves every (2.0, h, K) cell.
+    Each alpha < 2 runs every (h, K) and repeat as one run_ensemble call,
+    whose rows differ in K. At alpha = 2 the full drift is -U'(x) whatever
+    h and K, which is the simplified drift, so one simplified-drift
+    ensemble serves every (2.0, h, K) cell.
     """
     hs, Ks = sorted(set(h_values)), sorted(set(K_values))
     cells = {}  # (alpha, h, K) -> summary; the rows are its sorted items
     for alpha in sorted(set(alphas)):
-        for K in Ks:
-            cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
-                                  schedule=schedule, iterations=n_steps,
-                                  seed=seed) for h in hs]
-            if alpha < 2.0:
-                cells.update(zip([(alpha, h, K) for h in hs], _repeat_cells(
-                    cfgs, target, repeats, seed, init_policy, truth)))
-            elif K == Ks[0]:
-                # cfgs validated h and K before the drift is swapped
-                gaussian, = _repeat_cells(
-                    [replace(cfgs[0], drift_spec=Simplified())], target,
-                    repeats, seed, init_policy, truth)
-                cells.update({(alpha, h, k): gaussian for h in hs for k in Ks})
+        keys = [(alpha, h, K) for K in Ks for h in hs]
+        cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
+                              schedule=schedule, iterations=n_steps, seed=seed)
+                for _, h, K in keys]
+        if alpha < 2.0:
+            cells.update(zip(keys, _repeat_cells(cfgs, target, repeats, seed,
+                                                 init_policy, truth)))
+        else:
+            # cfgs validated h and K before the drift is swapped
+            gaussian, = _repeat_cells(
+                [replace(cfgs[0], drift_spec=Simplified())], target, repeats,
+                seed, init_policy, truth)
+            cells.update(dict.fromkeys(keys, gaussian))
     rows = []
     for (alpha, h, K), summary in sorted(cells.items()):
         if summary.n_failed:

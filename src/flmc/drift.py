@@ -94,11 +94,16 @@ def _scaled_terms(target: Target, x: np.ndarray, steps: np.ndarray,
     if u.shape != nodes.shape or grads.shape != nodes.shape:
         raise TypeError("the full drift needs a vectorised potential and "
                         "gradient, mapping node arrays to same-shape arrays")
-    ells = u[:, :1] - u  # node 0 is the state itself
-    ell_star = np.max(ells, axis=1)
-    ell_star[~np.isfinite(u[:, 0])] = np.inf  # not inf - inf's NaN
-    terms = weights * (-grads) * np.exp(ells - ell_star[:, None])
-    return ell_star, terms
+    # built in place in our own two arrays: -(g w e) is w (-g) e bit for bit
+    factor = np.subtract(u[:, :1], u)  # ell_k; node 0 is the state itself
+    ell_star = factor.max(axis=1)
+    finite = np.isfinite(u[:, 0])
+    if not finite.all():
+        ell_star[~finite] = np.inf  # not inf - inf's NaN
+    factor -= ell_star[:, None]
+    terms = np.multiply(grads, weights)
+    terms *= np.exp(factor, out=factor)
+    return ell_star, np.negative(terms, out=terms)
 
 
 def full_drift_rows(target: Target, x: np.ndarray, steps: np.ndarray,

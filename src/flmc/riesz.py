@@ -120,15 +120,18 @@ def ascending_sum(terms: np.ndarray):
     """Sum in ascending magnitude, accumulated left to right from 0.0.
 
     Ties keep their input order, so the centre-outward layout cancels
-    symmetric +-k pairs exactly; cumsum accumulates sequentially, so the
+    symmetric +-k pairs exactly; add.accumulate runs sequentially, so the
     result equals a Python loop bit for bit, sign of zero included. A 1-D
     input gives a float; an (R, n) input gives the (R,) row sums.
     """
     rows = np.atleast_2d(np.asarray(terms, dtype=float))
+    R, n = rows.shape
     order = np.argsort(np.abs(rows), axis=1, kind="stable")
-    ordered = rows[np.arange(len(rows))[:, None], order]
-    zero = np.zeros((len(rows), 1))
-    sums = np.cumsum(np.concatenate((zero, ordered), axis=1), axis=1)[:, -1]
+    order += np.arange(R)[:, None] * n  # row offsets: one flat take
+    ordered = rows.take(order)
+    ordered[:, :1] += 0.0  # the loop's 0.0 + t: a leading -0.0 becomes +0.0
+    sums = (np.add.accumulate(ordered, axis=1, out=ordered)[:, -1] if n
+            else np.zeros(R))
     return float(sums[0]) if np.ndim(terms) == 1 else sums
 
 

@@ -154,9 +154,9 @@ def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
     if n_omega is None:
         grad = target.gradient
     elif n_omega == target.data_size:
-        # full batch: enumerate rather than resample, which makes the
-        # estimator coincide with the exact gradient term for term
-        full = np.arange(n_omega)
+        # full batch: enumerate rather than resample, in the exact gradient's
+        # order, which makes the estimator coincide with it term for term
+        full = np.arange(n_omega) if target.full_batch is None else target.full_batch
         grad = lambda x: sg_gradient(target, x, full)
     else:
         grad = lambda x: sg_gradient(
@@ -231,7 +231,12 @@ def run_chain(config: SamplerConfig, target: Target,
             col = (-1,) + (1,) * (G.ndim - 1)  # broadcasts one value per row
             G = G * etas.reshape(col)
             G[0] += acc
-            acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()
+            if G[0].size > m:  # wide rows: m - 1 row adds, the same bits
+                for i in range(1, m):
+                    G[i] += G[i - 1]
+            else:  # along axis 0 accumulate loops once per column
+                np.add.accumulate(G, axis=0, out=G)
+            acc = G[-1].copy()
             if running is None:
                 running = np.empty(iterations.shape + G.shape[1:])
             running[recs] = G[first::stride] / Hs[first::stride].reshape(col)
@@ -278,13 +283,15 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     """One-dimensional chains in lockstep, one per config.
 
     The configs share iterations, and either all take the simplified drift
-    or all take the full drift with one alpha < 2 and one K; each has its
-    own seed, schedule and initial state, and its own alpha or h. Entry r
-    is run_chain(configs[r], target, g).estimate, bit for bit, or the
+    or all take the full drift with one alpha < 2; each has its own seed,
+    schedule and initial state, and its own alpha or (h, K). Entry r is
+    run_chain(configs[r], target, g).estimate, bit for bit, or the
     ChainFailure it raises (same step, state and cause). Each step
     evaluates every chain's drift at once, as -c_alpha * U'(x) on the (R,)
-    state or on one (R, 2K+1) stencil table, and writes
+    state or on one (R, 2K+1) stencil table of the widest K, and writes
     x + eta * drift + jump into a row of an (m, R) block, with no check.
+    A narrower row's pad nodes, x - 0.0 = x at weight 0.0, keep its ell*
+    and add +-0 terms that sort first onto the sum's +0.0: the same bits.
     The rest is done once per chunk of m <= _NOISE_CHUNK steps: the one
     failure scan finds each live chain's first state past the bound, and
     g takes the (m, R) block, a row per step as in run_chain, whose carried
@@ -304,22 +311,23 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
     simplified = all(isinstance(c.drift_spec, Simplified) for c in configs)
     full = (c0.alpha < 2.0
             and all(isinstance(c.drift_spec, FullCentered) for c in configs)
-            and len({(c.alpha, c.drift_spec.K) for c in configs}) == 1)
+            and len({c.alpha for c in configs}) == 1)
     if (target.dim != 1 or not (simplified or full)
             or len({c.iterations for c in configs}) != 1
             or any(c.minibatch_size is not None for c in configs)):
         raise ValueError("an ensemble runs 1-D chains that share iterations: "
                          "simplified-drift chains, or full-drift chains that "
-                         "share alpha < 2 and K")
+                         "share alpha < 2")
     N, R = c0.iterations, len(configs)
     if simplified:
         neg_ca = np.array([-c_alpha(c.alpha) for c in configs])
         drift = lambda x: neg_ca * target.gradient(x)
     else:
-        sts = [build_stencil(c0.alpha - 2.0, c.drift_spec.h, c0.drift_spec.K)
+        sts = [build_stencil(c0.alpha - 2.0, c.drift_spec.h, c.drift_spec.K)
                for c in configs]
-        steps = np.stack([st.steps for st in sts])
-        weights = np.stack([st.weights for st in sts])
+        steps, weights = np.zeros((2, R, max(st.steps.size for st in sts)))
+        for r, st in enumerate(sts):  # narrower rows padded with zeros
+            steps[r, :st.steps.size], weights[r, :st.steps.size] = st.steps, st.weights
         h_gamma = np.array([st.h_gamma for st in sts])
         drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)[0]
     x = np.array([np.asarray(c.initial_state, dtype=float).item()

@@ -41,9 +41,11 @@ class Target:
     gradient: Callable
     data_size: int = 0
     # loglik_batch(x, indices) returns the sum over the selected likelihood
-    # terms of their contribution to grad U; prior_grad is the rest.
+    # terms of their contribution to grad U; prior_grad is the rest;
+    # full_batch, if given, is the order in which gradient enumerates them.
     prior_grad: Optional[Callable] = None
     loglik_batch: Optional[Callable] = None
+    full_batch: Optional[np.ndarray] = None
     info: dict = field(default_factory=dict)
 
 
@@ -204,16 +206,21 @@ def synthetic_mf_target(I: int, J: int, L: int, seed: int = 0) -> Target:
             gB[l] = np.bincount(jj, weights=w, minlength=J)
         return out
 
+    # by anti-diagonal: every row and column keeps its row-major order, so each
+    # bin adds what arange(n_train) adds in that order, but neighbours differ
+    full_batch = np.lexsort((ti, ti + tj))
+
     def dU(x):
         # same code path as the full-enumeration minibatch, so the
         # N_omega == N_Y estimator matches bit for bit
-        return prior_grad(x) + loglik_batch(x, np.arange(n_train))
+        return prior_grad(x) + loglik_batch(x, full_batch)
 
     info = {"I": I, "J": J, "L": L, "Y": Y, "train_idx": train_idx,
             "test_idx": test_idx,
             "gen_x": np.concatenate([A0.ravel(), B0.ravel()])}
     return Target(dim=dim, potential=U, gradient=dU, data_size=n_train,
-                  prior_grad=prior_grad, loglik_batch=loglik_batch, info=info)
+                  prior_grad=prior_grad, loglik_batch=loglik_batch,
+                  full_batch=full_batch, info=info)
 
 
 def sg_gradient(target: Target, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -221,7 +228,8 @@ def sg_gradient(target: Target, x: np.ndarray, indices: np.ndarray) -> np.ndarra
 
     prior_grad(x) + (N_Y / N_omega) * sum over the N_omega likelihood terms
     that `indices` names (repeats counted) of their gradients. With the
-    enumerating batch arange(N_Y) this equals target.gradient(x) exactly.
+    enumerating batch target.full_batch this equals target.gradient(x)
+    exactly.
     """
     if target.data_size <= 0:
         raise ValueError("target does not support minibatch gradients")
@@ -231,7 +239,7 @@ def sg_gradient(target: Target, x: np.ndarray, indices: np.ndarray) -> np.ndarra
                          f"{indices.shape} of {indices.dtype}")
     if len(indices) == 0:
         raise ValueError("minibatch must hold at least one index")
-    if np.any(indices < 0) or np.any(indices >= target.data_size):
+    if indices.min() < 0 or indices.max() >= target.data_size:
         raise ValueError("minibatch index out of range")
     scale = target.data_size / len(indices)
     return target.prior_grad(x) + scale * target.loglik_batch(x, indices)

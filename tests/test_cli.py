@@ -296,13 +296,13 @@ def _spy_run_ensemble(monkeypatch):
 
 
 def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
-    # every (alpha < 2, K) is one full-drift call covering all three h
-    # values and all three repeats; alpha = 2 is one simplified-drift call
+    # every alpha < 2 is one full-drift call covering both K, all three h
+    # values and all three repeats (its first row has the smallest K);
+    # alpha = 2 is one simplified-drift call
     calls = _spy_run_ensemble(monkeypatch)
     bias_sweep_report(double_well_target(), (1.5, 1.7, 2.0), (0.05, 0.1, 0.2),
                       (1, 5), Polynomial(1e-7, 0.6), 20, 3, 7, "wells", m_star)
-    assert calls == [(1.5, 1, 9), (1.5, 5, 9), (1.7, 1, 9), (1.7, 5, 9),
-                     (2.0, Simplified(), 3)]
+    assert calls == [(1.5, 1, 18), (1.7, 1, 18), (2.0, Simplified(), 3)]
 
 
 def test_bias_sweep_one_gaussian_run(monkeypatch, m_star):

@@ -423,15 +423,21 @@ def _ensemble_matches_chains(cfgs):
 
 def test_ensemble_matches_chains_through_both_failures():
     # at this setting rows overflow and rows diverge, at different steps,
-    # beside surviving rows: frozen rows must not touch live ones
-    cfgs = [SamplerConfig(alpha=1.2, drift_spec=FullCentered(h, 5),
+    # beside surviving rows: frozen rows must not touch live ones. Rows
+    # differ in K, so narrow rows, padded to the widest, fail beside wide
+    # survivors
+    cfgs = [SamplerConfig(alpha=1.2, drift_spec=FullCentered(h, K),
                           schedule=Constant(0.02), iterations=60, seed=seed,
                           initial_state=x0)
-            for h in (0.1, 0.5) for seed in range(4) for x0 in (-4.0, 0.0, 3.9)]
+            for h in (0.1, 0.5) for K in (1, 5, 30) for seed in range(4)
+            for x0 in (-4.0, 0.0, 3.9)]
     keys = _ensemble_matches_chains(cfgs)
     kinds = {k[4] if k[0] == "failed" else "ok" for k in keys}
     assert kinds == {"ok", "str", "DriftOverflowError"}
     assert len({k[2] for k in keys if k[0] == "failed"}) > 1
+    outcomes = {(c.drift_spec.K, k[4] if k[0] == "failed" else "ok")
+                for c, k in zip(cfgs, keys)}
+    assert {(1, "str"), (1, "DriftOverflowError"), (30, "ok")} <= outcomes
 
 
 _SCHEDULES = st.one_of(
@@ -441,24 +447,27 @@ _SCHEDULES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(alpha=st.floats(1.05, 1.95), K=st.integers(1, 20), schedule=_SCHEDULES,
+@given(alpha=st.floats(1.05, 1.95), schedule=_SCHEDULES,
        iterations=st.integers(1, 80),
        chains=st.lists(st.tuples(st.sampled_from((0.01, 0.03, 0.06, 0.1, 0.5)),
+                                 st.sampled_from((1, 2, 5, 20, 30)),
                                  st.integers(0, 2**32 - 1),
                                  st.floats(-4.0, 4.0)),
                        min_size=1, max_size=8))
-def test_ensemble_equals_run_chain(alpha, K, schedule, iterations, chains):
+def test_ensemble_equals_run_chain(alpha, schedule, iterations, chains):
+    # each row has its own h and K; rows narrower than the widest are padded
     _ensemble_matches_chains(
         [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
                        schedule=schedule, iterations=iterations, seed=seed,
-                       initial_state=x0) for h, seed, x0 in chains])
+                       initial_state=x0) for h, K, seed, x0 in chains])
 
 
 def test_ensemble_validation():
     cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 5),
                         schedule=Constant(0.01), iterations=10, seed=0)
-    for other in (SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 6),
-                                schedule=Constant(0.01), iterations=10, seed=0),
+    # full-drift rows may differ in K; they must share alpha
+    _ensemble_matches_chains([cfg, replace(cfg, drift_spec=FullCentered(0.06, 6))])
+    for other in (replace(cfg, alpha=1.6),
                   SamplerConfig(alpha=1.7, drift_spec=Simplified(),
                                 schedule=Constant(0.01), iterations=10, seed=0)):
         with pytest.raises(ValueError, match="ensemble"):

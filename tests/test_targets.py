@@ -194,6 +194,31 @@ def test_loglik_batch_equals_sequential_scatter(I, J, L, seed, log_scale,
     assert got.tobytes() == _add_at_loglik_batch(t, x, idx).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(I=st.integers(1, 9), J=st.integers(1, 9), L=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from((1, 7, targets._GATHER_BLOCK)))
+@example(I=70, J=70, L=3, seed=5, block=targets._GATHER_BLOCK)
+def test_full_batch_keeps_row_and_column_order(I, J, L, seed, block):
+    # the exact gradient enumerates the training entries by anti-diagonal:
+    # a permutation in which each row's and each column's entries keep
+    # their row-major order, so every bincount bin adds the same terms in
+    # the same order as the sequential scatter over arange(N_Y)
+    with mock.patch.object(targets, "_GATHER_BLOCK", block):
+        t = synthetic_mf_target(I, J, L, seed=seed % 1000)
+        assume(t.data_size > 0)
+        order = t.full_batch
+        assert np.array_equal(np.sort(order), np.arange(t.data_size))
+        for key in t.info["train_idx"].T:
+            grouped = order[np.argsort(key[order], kind="stable")]
+            same_bin = np.diff(key[grouped]) == 0
+            assert (np.diff(grouped)[same_bin] > 0).all()
+        x = np.random.default_rng(seed).standard_normal(t.dim)
+        got = t.gradient(x)
+    want = x + _add_at_loglik_batch(t, x, np.arange(t.data_size))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_mf_gradient_working_set_is_bounded():
     # the first full-batch gradient at 200x200, L = 10 (36 010 entries)
     # gathers its residual through one (2, 4 096, 10) block and its scatter
