@@ -19,7 +19,8 @@ checkout's, strictly, in the direction BENCHMARK.json gives the metric.
 Once the file is written, one line per later checkout, workload and
 end-to-end metric goes to stdout: the first checkout's median -> this
 one's, the change in percent, the first checkout's IQR as a share of its
-median, and the pairs won.
+median, and the pairs won. A last line gives each checkout's src/flmc
+line count and its difference from the first checkout's.
 """
 
 from __future__ import annotations
@@ -148,6 +149,9 @@ def main(argv=None) -> int:
                       f"({(b - a) / a:+.1%}); {labels[0]} IQR "
                       f"{base[w]['iqrs'][k] / a:.1%} of median; pairs won "
                       f"{this['pairs_won'][k]} of {bench['pairs']}")
+    lines = {label: c["src_lines"] for label, c in bench["checkouts"].items()}
+    print("src_lines: " + ", ".join(
+        f"{label} {n} ({n - lines[labels[0]]:+d})" for label, n in lines.items()))
     return 0
 
 

@@ -6,7 +6,7 @@ deterministic given flags and seed: floats print with 17 significant
 digits ('%.17g'), rows are assembled in sorted parameter order, a CSV
 field that holds a comma is quoted, metadata carries the full
 configuration echo with a null timestamp. `flmc sample` writes its trace
-through csvtext.encode_rows, or a '%' template for a chunk it declines.
+rows through csvtext.write_rows.
 Environment variables only set verbosity (FLMC_VERBOSE) and the default
 output directory (FLMC_OUTDIR).
 """
@@ -58,8 +58,6 @@ SCHEDULE_GRID = tuple(
      for b in (0.51, 0.6, 0.7)]
     + [Constant(e) for e in (0.002, 0.005, 0.01)]
 )
-
-_ROW_CHUNK = 2048  # trace rows `flmc sample` converts and writes at a time
 
 
 class UsageError(Exception):
@@ -237,8 +235,9 @@ def _repeat_cells(cells, target, repeats, seed, init_policy, truth):
 
     Repeat r of every cell runs at seed repeat_seeds(seed, repeats)[r], in
     place of the cell's own, from the init_policy's r-th start. All the
-    cells' repeats step in one run_ensemble call, and each cell summarizes
-    as the same chains run one at a time by run_chain would.
+    cells' repeats, of any alpha and drift, step in one run_ensemble call,
+    and each cell summarizes as the same chains run one at a time by
+    run_chain would.
     """
     inits = initial_states(init_policy, repeats)
     seeds = repeat_seeds(seed, repeats)
@@ -255,29 +254,17 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
 
     Cells share the base seed, so cells differing only in (h, K) see the
     same noise streams; failed repeats are excluded and counted per cell.
-    Each alpha < 2 runs every (h, K) and repeat as one run_ensemble call,
-    whose rows differ in K. At alpha = 2 the full drift is -U'(x) whatever
-    h and K, which is the simplified drift, so one simplified-drift
-    ensemble serves every (2.0, h, K) cell.
+    Every cell and repeat runs in one run_ensemble call, the alpha = 2
+    cells included, where the full drift is -U'(x) whatever h and K.
     """
-    hs, Ks = sorted(set(h_values)), sorted(set(K_values))
-    cells = {}  # (alpha, h, K) -> summary; the rows are its sorted items
-    for alpha in sorted(set(alphas)):
-        keys = [(alpha, h, K) for K in Ks for h in hs]
-        cfgs = [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
-                              schedule=schedule, iterations=n_steps, seed=seed)
-                for _, h, K in keys]
-        if alpha < 2.0:
-            cells.update(zip(keys, _repeat_cells(cfgs, target, repeats, seed,
-                                                 init_policy, truth)))
-        else:
-            # cfgs validated h and K before the drift is swapped
-            gaussian, = _repeat_cells(
-                [replace(cfgs[0], drift_spec=Simplified())], target, repeats,
-                seed, init_policy, truth)
-            cells.update(dict.fromkeys(keys, gaussian))
+    keys = [(alpha, h, K) for alpha in sorted(set(alphas))
+            for h in sorted(set(h_values)) for K in sorted(set(K_values))]
+    summaries = _repeat_cells(
+        [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
+                       schedule=schedule, iterations=n_steps, seed=seed)
+         for alpha, h, K in keys], target, repeats, seed, init_policy, truth)
     rows = []
-    for (alpha, h, K), summary in sorted(cells.items()):
+    for (alpha, h, K), summary in zip(keys, summaries):
         if summary.n_failed:
             log.warning("bias cell alpha=%s h=%s K=%s: %d failed repeats",
                         alpha, h, K, summary.n_failed)
@@ -431,25 +418,10 @@ def cmd_sample(args) -> int:
     trace = run_chain(cfg, target, lambda x: x)
     out = _outpath(args, "trace.csv")
     header = ["n", "eta"] + [f"x_{d}" for d in range(target.dim)]
-    # encode_rows writes a chunk's rows as the '%' template below does, or
-    # declines the chunk; '%.17g' % v and format(v, '.17g') use the same
-    # float formatter, so the rows match _fmt's. Either way a chunk's eta
-    # column that holds one value (any const: schedule) is formatted once
-    from .csvtext import encode_rows  # no other subcommand loads it
+    from .csvtext import write_rows  # no other subcommand loads it
     with open(out, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
-        for lo in range(0, trace.iterations.size, _ROW_CHUNK):
-            n, eta, states = (a[lo:lo + _ROW_CHUNK] for a in
-                              (trace.iterations, trace.etas, trace.states))
-            text = encode_rows(n, eta, states)
-            if text is None:
-                const = (eta == eta[0]).all()
-                row = ("%d," + (format(eta[0], ".17g") if const else "%.17g")
-                       + ",%.17g" * target.dim + "\n")
-                text = "".join(map(row.__mod__, zip(
-                    n.tolist(), *([] if const else [eta.tolist()]),
-                    *states.T.tolist()))).encode("ascii")
-            fh.write(text)
+        write_rows(fh, trace.iterations, trace.etas, trace.states)
     summary = {
         "config": {
             "target": args.target, "alpha": args.alpha,

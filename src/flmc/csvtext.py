@@ -1,4 +1,4 @@
-"""Exact '%.17g' text for trace rows, in numpy.
+"""Trace rows as '%d,%.17g,...' text, built exactly in numpy where it can be.
 
 For a value whose '%.17g' exponent E lies in -6..16, 10**(16 - E) is an
 exact double, so Dekker's TwoProduct (Numer. Math. 18, 1971) gives
@@ -8,6 +8,7 @@ integer holds the 17 digits of CPython's correctly rounded conversion.
 
 import numpy as np
 
+_ROW_CHUNK = 2048  # trace rows converted and written at a time
 _POW10 = 10.0 ** np.arange(23)  # exact: 5**22 < 2**53
 _PLACES = 10 ** np.arange(8, -1, -1, dtype=np.uint32)[:, None]
 
@@ -99,3 +100,17 @@ def encode_rows(n, eta, states):
         rows += [comma, *_float_rows(v, *_decimal(v, E))]
     block = np.concatenate(rows + [np.full((1, n.size), 10, np.uint8)]).T
     return block.tobytes().translate(None, b"\0")  # one compaction
+
+
+def write_rows(fh, n, eta, states):
+    """Write the rows (n, eta, states) to the binary file fh, _ROW_CHUNK at
+    a time, through encode_rows or, for a chunk it declines, the '%'
+    template, whose '%.17g' is format(v, '.17g'): the same bytes."""
+    row = "%d,%.17g" + ",%.17g" * states.shape[1] + "\n"
+    for lo in range(0, len(n), _ROW_CHUNK):
+        ns, es, xs = (a[lo:lo + _ROW_CHUNK] for a in (n, eta, states))
+        text = encode_rows(ns, es, xs)
+        if text is None:
+            text = "".join(map(row.__mod__, zip(
+                ns.tolist(), es.tolist(), *xs.T.tolist()))).encode("ascii")
+        fh.write(text)

@@ -8,10 +8,12 @@ works in any dimension (the sampler applies it inline). The full drift is
 one-dimensional; a large truncation K_star stands in for the untruncated
 operator.
 
-The full drift and kappa both evaluate through the one riesz stencil:
-build_stencil supplies the nodes and weights, cached per (gamma, h, K), and
-riesz.ascending_sum does the summation, through one row-wise evaluator that
-takes a row per state (kappa's grid, an ensemble).
+The full drift and kappa both take a row of terms per state (kappa's
+grid, an ensemble) from build_stencil's nodes and weights, cached per
+(gamma, h, K). The full drift sums a row in ascending magnitude
+(riesz.ascending_sum); kappa takes b_K for every K as centre-outward
+prefix sums of the +-k pairs (np.cumsum), so its b_{K*} is not
+full_drift's to the bit.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ def full_drift(target: Target, x: float, spec: FullCentered, alpha: float) -> fl
         # zeroth-order operator is the identity: drift is exactly -U'(x)
         try:
             b = float(-target.gradient(x))
-        except OverflowError:  # a Python float's x**3 raises, never gives inf
+        except OverflowError:  # a target's own ** on a Python float raises
             b = math.inf
         if not math.isfinite(b):
             raise DriftOverflowError(x, math.inf)

@@ -144,6 +144,19 @@ def _increments(alpha: float, schedule: Schedule, draws, L: np.ndarray,
     return etas, L
 
 
+def _carry(B: np.ndarray, c):
+    """B's rows summed in place from the carried sum c: row i becomes
+    c + B[0] + ... + B[i], in order, by row adds where a row is wider than
+    B is long and by one accumulate down axis 0 otherwise (the same bits)."""
+    B[0] += c
+    if B[0].size > len(B):
+        for i in range(1, len(B)):
+            B[i] += B[i - 1]
+    else:
+        np.add.accumulate(B, axis=0, out=B)
+    return B
+
+
 def _drift_fn(config: SamplerConfig, target: Target, batch_rng) -> Callable:
     """Returns drift(x) per the configured variant; a float on a 1-D target."""
     spec, n_omega = config.drift_spec, config.minibatch_size
@@ -178,8 +191,8 @@ def run_chain(config: SamplerConfig, target: Target,
     took. Once per piece, a scan finds the first state past the bound, then
     g takes the piece's states, (m,) on a 1-D target and (m, D) otherwise,
     and returns a row per state (trailing axes hold several functions);
-    run_ensemble's carried accumulate sums eta_n * g(x_n) and the step
-    sizes down the rows. The chain fails at the first step whose drift
+    _carry sums eta_n * g(x_n) and the step sizes down the rows, as in
+    run_ensemble. The chain fails at the first step whose drift
     raises an ArithmeticError (at the state before it) or whose state
     passes the bound; an error of g's is its own.
     """
@@ -224,18 +237,12 @@ def run_chain(config: SamplerConfig, target: Target,
         first = (-lo - 1) % stride  # the piece's first recorded row
         recs = slice(lo // stride, (lo + m) // stride)
         states[recs], rec_etas[recs] = X[first::stride], etas[first::stride]
-        Hs = np.add.accumulate(np.concatenate(([H], etas)))[1:]  # H at each step
+        Hs = _carry(etas.copy(), H)  # H at each step
         H = float(Hs[-1])
         if g is not None:
             G = np.asarray(g(X[:, 0] if D == 1 else X))
             col = (-1,) + (1,) * (G.ndim - 1)  # broadcasts one value per row
-            G = G * etas.reshape(col)
-            G[0] += acc
-            if G[0].size > m:  # wide rows: m - 1 row adds, the same bits
-                for i in range(1, m):
-                    G[i] += G[i - 1]
-            else:  # along axis 0 accumulate loops once per column
-                np.add.accumulate(G, axis=0, out=G)
+            G = _carry(G * etas.reshape(col), acc)
             acc = G[-1].copy()
             if running is None:
                 running = np.empty(iterations.shape + G.shape[1:])
@@ -282,54 +289,63 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
                  g: Callable) -> list:
     """One-dimensional chains in lockstep, one per config.
 
-    The configs share iterations, and either all take the simplified drift
-    or all take the full drift with one alpha < 2; each has its own seed,
-    schedule and initial state, and its own alpha or (h, K). Entry r is
+    The configs share iterations and take no minibatch; each has its own
+    seed, alpha, drift, schedule and initial state. Entry r is
     run_chain(configs[r], target, g).estimate, bit for bit, or the
-    ChainFailure it raises (same step, state and cause). Each step
-    evaluates every chain's drift at once, as -c_alpha * U'(x) on the (R,)
-    state or on one (R, 2K+1) stencil table of the widest K, and writes
-    x + eta * drift + jump into a row of an (m, R) block, with no check.
-    A narrower row's pad nodes, x - 0.0 = x at weight 0.0, keep its ell*
-    and add +-0 terms that sort first onto the sum's +0.0: the same bits.
-    The rest is done once per chunk of m <= _NOISE_CHUNK steps: the one
-    failure scan finds each live chain's first state past the bound, and
-    g takes the (m, R) block, a row per step as in run_chain, whose carried
-    accumulate sums eta_n * g(x_n) and the step sizes down each column. A
-    non-finite drift makes its step's state non-finite, so that state is
-    the chain's first event: a full-drift chain whose drift at the state
-    before it is not finite failed there with DriftOverflowError, as
-    run_chain raises it, and any other chain diverged. g and the target's
-    potential and gradient must act elementwise on arrays, rounding as
-    they do on Python floats. Each chain's noise comes _NOISE_CHUNK steps
-    at a time from its own stream, one _increments call per chunk for the
-    chains of one alpha and schedule.
+    ChainFailure it raises (same step, state and cause). Stencil rows, the
+    full drift at alpha < 2, step together, and so do gradient rows,
+    -c_alpha * U'(x): the simplified drift, and the full drift at alpha = 2,
+    -U'(x), as -c_alpha(2.0) is -1.0.
     """
-    if not configs:
-        return []
-    c0 = configs[0]
-    simplified = all(isinstance(c.drift_spec, Simplified) for c in configs)
-    full = (c0.alpha < 2.0
-            and all(isinstance(c.drift_spec, FullCentered) for c in configs)
-            and len({c.alpha for c in configs}) == 1)
-    if (target.dim != 1 or not (simplified or full)
-            or len({c.iterations for c in configs}) != 1
+    if (target.dim != 1 or len({c.iterations for c in configs}) > 1
             or any(c.minibatch_size is not None for c in configs)):
-        raise ValueError("an ensemble runs 1-D chains that share iterations: "
-                         "simplified-drift chains, or full-drift chains that "
-                         "share alpha < 2")
-    N, R = c0.iterations, len(configs)
-    if simplified:
-        neg_ca = np.array([-c_alpha(c.alpha) for c in configs])
-        drift = lambda x: neg_ca * target.gradient(x)
-    else:
-        sts = [build_stencil(c0.alpha - 2.0, c.drift_spec.h, c.drift_spec.K)
+        raise ValueError("an ensemble runs 1-D chains that share iterations "
+                         "and take no minibatch")
+    kinds = [isinstance(c.drift_spec, FullCentered) and c.alpha < 2.0
+             for c in configs]
+    out = [None] * len(configs)
+    for kind in set(kinds):
+        rows = [r for r, k in enumerate(kinds) if k == kind]
+        for r, v in zip(rows, _lockstep([configs[r] for r in rows], target, g, kind)):
+            out[r] = v
+    return out
+
+
+def _lockstep(configs: Sequence[SamplerConfig], target: Target, g: Callable,
+              stencil: bool) -> list:
+    """run_ensemble's outcomes for rows of one kind.
+
+    Each step evaluates every row's drift at once, on the (R,) state or,
+    for stencil rows, on one (R, 2K+1) table of the widest K, each row
+    its own alpha, h and K stencil, and writes x + eta * drift + jump into
+    a row of an (m, R) block, with no check. A narrower row's pad nodes,
+    x - 0.0 = x at weight 0.0, keep its ell* and add +-0 terms that sort
+    first onto the sum's +0.0: the same bits. The rest is done once per
+    chunk of m <= _NOISE_CHUNK steps: the one failure scan finds each
+    live chain's first state past the bound, and g takes the (m, R)
+    block, a row per step as in run_chain, whose eta_n * g(x_n) and step
+    sizes _carry sums down each column. A non-finite drift makes its
+    step's state non-finite, so that state is the chain's first event: a
+    full-drift chain whose full_drift at the state before it overflows
+    failed there with DriftOverflowError, as in run_chain, and any other
+    chain diverged. g and the target's potential and gradient must act
+    elementwise on arrays, rounding as they do on Python floats. Each
+    chain's noise comes _NOISE_CHUNK steps at a time from its own stream,
+    one _increments call per chunk for the chains of one alpha and
+    schedule.
+    """
+    N, R = configs[0].iterations, len(configs)
+    if stencil:
+        sts = [build_stencil(c.alpha - 2.0, c.drift_spec.h, c.drift_spec.K)
                for c in configs]
         steps, weights = np.zeros((2, R, max(st.steps.size for st in sts)))
         for r, st in enumerate(sts):  # narrower rows padded with zeros
             steps[r, :st.steps.size], weights[r, :st.steps.size] = st.steps, st.weights
         h_gamma = np.array([st.h_gamma for st in sts])
         drift = lambda x: full_drift_rows(target, x, steps, weights, h_gamma)[0]
+    else:
+        neg_ca = np.array([-c_alpha(c.alpha) for c in configs])
+        drift = lambda x: neg_ca * target.gradient(x)
     x = np.array([np.asarray(c.initial_state, dtype=float).item()
                   for c in configs])
     draws = [vw_stream(_streams(c.seed)[0], N) for c in configs]
@@ -367,23 +383,18 @@ def run_ensemble(configs: Sequence[SamplerConfig], target: Target,
             # whose drift overflows at the state before it failed there
             ok = np.abs(Xm, out=J) <= _DIVERGENCE_BOUND
             for r in np.flatnonzero(live & ~ok.all(axis=0)).tolist():
-                k = int(np.argmin(ok[:, r]))
+                k, c = int(np.argmin(ok[:, r])), configs[r]
                 state, cause = float(Xm[k, r]), "divergence"
-                if not simplified:
+                if isinstance(c.drift_spec, FullCentered):
                     prev = float(Xm[k - 1, r] if k else x_in[r])
                     try:
-                        full_drift(target, prev, configs[r].drift_spec, c0.alpha)
+                        full_drift(target, prev, c.drift_spec, c.alpha)
                     except DriftOverflowError as e:
                         state, cause = prev, e
-                out[r] = ChainFailure(configs[r].seed, lo + k + 1, state, cause)
+                out[r] = ChainFailure(c.seed, lo + k + 1, state, cause)
                 live[r] = False
-            # run_chain's sums: the first row takes the carried sum, and
-            # accumulate adds down each column in order
-            G = np.multiply(g(Xm), E, out=J)
-            G[0] += acc
-            acc = np.add.accumulate(G, axis=0, out=G)[-1].copy()
-            E[0] += H
-            H = np.add.accumulate(E, axis=0, out=E)[-1].copy()
+            acc = _carry(np.multiply(g(Xm), E, out=J), acc)[-1].copy()
+            H = _carry(E, H)[-1].copy()
             x = Xm[-1].copy()
             if not live.all():
                 x[~live], etas[:, ~live], jumps[:, ~live] = 0.0, 0.0, 0.0

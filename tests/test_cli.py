@@ -22,10 +22,10 @@ from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       mf_rmse_curve, parse_drift, parse_list, parse_schedule,
                       resolve_truth, schedule_label, write_json, write_report,
                       ExperimentReport)
-from flmc.drift import FullCentered, Simplified
+from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.oracle import SupportError
-from flmc.sampler import (Constant, Polynomial, SamplerConfig, run_chain,
-                          run_ensemble)
+from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
+                          run_chain, run_ensemble)
 from flmc.targets import (Target, double_well_stationary_points,
                           double_well_target, synthetic_mf_target)
 
@@ -279,15 +279,12 @@ def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
 
 
 def _spy_run_ensemble(monkeypatch):
-    # record each run_ensemble call of a sweep as (alpha, K or the
-    # simplified spec, number of chains), and forbid single-chain runs
+    # record each run_ensemble call of a sweep as its number of chains and
+    # its set of (alpha, drift), and forbid single-chain runs
     calls = []
 
     def counting(cfgs, target, g):
-        spec = cfgs[0].drift_spec
-        calls.append((cfgs[0].alpha,
-                      spec.K if isinstance(spec, FullCentered) else spec,
-                      len(cfgs)))
+        calls.append((len(cfgs), {(c.alpha, c.drift_spec) for c in cfgs}))
         return run_ensemble(cfgs, target, g)
 
     monkeypatch.setattr(cli, "run_ensemble", counting)
@@ -296,26 +293,48 @@ def _spy_run_ensemble(monkeypatch):
 
 
 def test_bias_sweep_one_ensemble_per_alpha_and_k(monkeypatch, m_star):
-    # every alpha < 2 is one full-drift call covering both K, all three h
-    # values and all three repeats (its first row has the smallest K);
-    # alpha = 2 is one simplified-drift call
+    # one full-drift call covers every alpha, alpha = 2 included, both K,
+    # all three h values and all three repeats
     calls = _spy_run_ensemble(monkeypatch)
     bias_sweep_report(double_well_target(), (1.5, 1.7, 2.0), (0.05, 0.1, 0.2),
                       (1, 5), Polynomial(1e-7, 0.6), 20, 3, 7, "wells", m_star)
-    assert calls == [(1.5, 1, 18), (1.7, 1, 18), (2.0, Simplified(), 3)]
+    assert calls == [(54, {(a, FullCentered(h, K)) for a in (1.5, 1.7, 2.0)
+                           for h in (0.05, 0.1, 0.2) for K in (1, 5)})]
 
 
 def test_bias_sweep_one_gaussian_run(monkeypatch, m_star):
-    # at alpha = 2 the full drift is -U'(x) whatever h and K: one
-    # simplified-drift call of the three repeats serves all 3 x 2 cells,
-    # and they report the same row
+    # at alpha = 2 the full drift is -U'(x) whatever h and K: the 3 x 2
+    # cells run in one call and report the same row
     calls = _spy_run_ensemble(monkeypatch)
     rep = bias_sweep_report(double_well_target(), (2.0,), (0.2, 0.05, 0.1),
                             (5, 1), Polynomial(1e-7, 0.6), 20, 3, 7, "wells",
                             m_star)
-    assert calls == [(2.0, Simplified(), 3)]
+    assert [n for n, _ in calls] == [18]
     assert len(rep.rows) == 6
     assert len({row[3:] for row in rep.rows}) == 1
+
+
+def test_bias_sweep_alpha_two_overflow_fails_as_run_chain(monkeypatch, m_star):
+    # a repeat started at 1e200, where U' overflows, fails at step 1 with
+    # the DriftOverflowError that run_chain raises, at its start
+    seen = []
+
+    def recording(cfgs, target, g):
+        outcomes = run_ensemble(cfgs, target, g)
+        seen.extend(zip(cfgs, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(cli, "run_ensemble", recording)
+    rep = bias_sweep_report(double_well_target(), (2.0,), (0.05,), (5,),
+                            Constant(0.002), 20, 2, 7, "1e200", m_star)
+    assert rep.rows[0][5] == 2 and len(seen) == 2
+    for cfg, got in seen:
+        with pytest.raises(ChainFailure) as want:
+            run_chain(cfg, double_well_target())
+        assert isinstance(got, ChainFailure)
+        assert isinstance(got.cause, DriftOverflowError)
+        assert (got.n, got.state) == (want.value.n, want.value.state) == (1, 1e200)
+        assert str(got.cause) == str(want.value.cause)
 
 
 def _hex_row(row):
@@ -334,9 +353,9 @@ def _hex_row(row):
 def test_bias_sweep_matches_sequential_repeats(m_star, sequential_repeats,
                                                alphas, hs, Ks, init, label,
                                                seed):
-    # every row, the alpha = 2 rows on the simplified ensemble included,
-    # is the one its cell gives with full-drift chains run one at a time;
-    # const:0.02 makes some repeats diverge, and a 1e300 start every one
+    # every row, the alpha = 2 rows included, is the one its cell gives
+    # with full-drift chains run one at a time; const:0.02 makes some
+    # repeats diverge, and a 1e300 start every one
     schedule, n, repeats = parse_schedule(label), 300, 3
     rep = bias_sweep_report(double_well_target(), alphas, hs, Ks, schedule, n,
                             repeats, seed, init, m_star)

@@ -463,19 +463,19 @@ def test_ensemble_equals_run_chain(alpha, schedule, iterations, chains):
 
 
 def test_ensemble_validation():
+    # rows may differ in alpha, K and kind, and run the full drift at
+    # alpha = 2; each still equals its run_chain bit for bit
     cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 5),
                         schedule=Constant(0.01), iterations=10, seed=0)
-    # full-drift rows may differ in K; they must share alpha
-    _ensemble_matches_chains([cfg, replace(cfg, drift_spec=FullCentered(0.06, 6))])
-    for other in (replace(cfg, alpha=1.6),
-                  SamplerConfig(alpha=1.7, drift_spec=Simplified(),
-                                schedule=Constant(0.01), iterations=10, seed=0)):
+    simplified = replace(cfg, drift_spec=Simplified())
+    _ensemble_matches_chains([cfg, replace(cfg, drift_spec=FullCentered(0.06, 6)),
+                              replace(cfg, alpha=1.6), replace(cfg, alpha=2.0),
+                              simplified])
+    for cfgs, target in (([cfg, replace(cfg, iterations=11)], DW),
+                         ([replace(simplified, minibatch_size=1)], DW),
+                         ([simplified], gaussian_target(np.zeros(2), 1.0))):
         with pytest.raises(ValueError, match="ensemble"):
-            run_ensemble([cfg, other], DW, lambda x: x)
-    gauss = SamplerConfig(alpha=2.0, drift_spec=FullCentered(0.06, 5),
-                          schedule=Constant(0.01), iterations=10, seed=0)
-    with pytest.raises(ValueError, match="ensemble"):
-        run_ensemble([gauss], DW, lambda x: x)
+            run_ensemble(cfgs, target, lambda x: x)
     assert run_ensemble([], DW, lambda x: x) == []
 
 
@@ -500,6 +500,39 @@ def test_simplified_ensemble_equals_run_chain(chains, iterations, chunk):
                            schedule=schedule, iterations=iterations, seed=seed,
                            initial_state=x0)
              for alpha, schedule, seed, x0 in chains])
+
+
+# a row of each kind: simplified, full drift at alpha < 2 (any h and K)
+# and full drift at alpha = 2, whose drift is -U'(x)
+_ROW_KINDS = st.one_of(
+    st.tuples(st.one_of(st.floats(1.05, 1.99), st.just(2.0)), st.just(Simplified())),
+    st.tuples(st.one_of(st.floats(1.05, 1.99), st.just(2.0)),
+              st.builds(FullCentered, st.sampled_from((0.03, 0.1, 0.5)),
+                        st.sampled_from((1, 5, 30)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains=st.lists(st.tuples(_ROW_KINDS, st.one_of(_SCHEDULES, _DIVERGING),
+                                 st.integers(0, 2**32 - 1),
+                                 st.one_of(st.floats(-4.5, 4.5),
+                                           st.sampled_from((-1e200, 1e200)))),
+                       min_size=1, max_size=8),
+       iterations=st.integers(1, 60), chunk=st.sampled_from((1, 7, 1024)))
+@example(chains=[((1.5, FullCentered(0.1, 5)), Constant(0.3), 1, 1e200),
+                 ((1.7, FullCentered(0.5, 1)), Constant(0.02), 2, -3.6),
+                 ((2.0, FullCentered(0.1, 30)), Constant(0.002), 3, -1e200),
+                 ((2.0, FullCentered(0.03, 1)), Constant(1.0), 4, 3.0),
+                 ((1.8, Simplified()), Constant(0.002), 5, 1e200),
+                 ((2.0, Simplified()), Polynomial(1e-5, 0.6), 6, 0.5)],
+         iterations=30, chunk=7)
+def test_mixed_kind_ensemble_equals_run_chain(chains, iterations, chunk):
+    # one ensemble mixes the kinds, alphas and K; every row, failures
+    # included (step, state and cause), is its run_chain's
+    with mock.patch.object(sampler, "_NOISE_CHUNK", chunk):
+        _ensemble_matches_chains(
+            [SamplerConfig(alpha=alpha, drift_spec=spec, schedule=schedule,
+                           iterations=iterations, seed=seed, initial_state=x0)
+             for (alpha, spec), schedule, seed, x0 in chains])
 
 
 def test_ensembles_match_chains_across_noise_chunks():
