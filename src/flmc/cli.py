@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__
 from .drift import DriftOverflowError, FullCentered, Simplified, kappa
-from .oracle import (QuadratureError, QuadratureSpec, SupportError,
-                     quadrature_expectation)
+from .oracle import QuadratureError, SupportError, quadrature_expectation
 from .sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                       repeat_seeds, run_chain, run_ensemble, summarize_repeats)
 from .targets import (double_well_stationary_points, double_well_target,
@@ -144,21 +143,10 @@ def initial_states(policy: str, repeats: int):
             f"bad init '{policy}' (expected origin, wells, or a number)") from None
 
 
-def resolve_truth(fixtures_path):
-    """Posterior mean of the double well: from a fixtures file or quadrature."""
-    if fixtures_path:
-        with open(fixtures_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        try:
-            value = data["double_well_mean"]["value"]
-            if type(value) in (int, float) and math.isfinite(value):  # no bool
-                return float(value)
-        except (KeyError, TypeError, OverflowError):  # not an object; a huge int
-            pass
-        raise UsageError(f"fixtures file '{fixtures_path}' needs a finite "
-                         "number at double_well_mean.value")
-    return quadrature_expectation(double_well_target(), lambda x: x,
-                                  QuadratureSpec())
+def double_well_mean() -> float:
+    """Posterior mean of the double well, the truth every bias sweep measures
+    against, integrated by quadrature."""
+    return quadrature_expectation(double_well_target(), lambda x: x)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +429,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bias(args) -> int:
     """bias-k sweeps K at one h, bias-h sweeps h at one K."""
-    truth = resolve_truth(args.fixtures)
+    truth = double_well_mean()
     by_k = args.cmd == "bias-k"
     report = bias_sweep_report(
         double_well_target(), parse_list(args.alpha, "alpha"),
@@ -464,7 +452,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_alpha_sweep(args) -> int:
-    truth = resolve_truth(args.fixtures)
+    truth = double_well_mean()
     report = alpha_sweep_report(double_well_target(),
                                 parse_list(args.alpha, "alpha"), args.n,
                                 args.repeats, args.seed, args.init, truth)
@@ -511,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, default=5000)
         sp.add_argument("--repeats", type=int, default=5)
         sp.add_argument("--init", type=str, default=init)
-        sp.add_argument("--fixtures", type=str, default=None)
         common(sp)
         sp.set_defaults(func=cmd_bias)
 
@@ -544,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=50000)
     sp.add_argument("--repeats", type=int, default=10)
     sp.add_argument("--init", type=str, default="wells")
-    sp.add_argument("--fixtures", type=str, default=None)
     common(sp)
     sp.set_defaults(func=cmd_alpha_sweep)
 

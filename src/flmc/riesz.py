@@ -158,4 +158,4 @@ def c_alpha(alpha: float) -> float:
     """
     if not (1.0 < alpha <= 2.0):
         raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    return _gamma_fn(alpha - 1.0) / _gamma_fn(alpha / 2.0) ** 2
+    return coeff(alpha - 2.0, 0)

@@ -6,7 +6,6 @@ contract, not aspirations."""
 
 import json
 import math
-import os
 import sys
 import time
 
@@ -23,8 +22,6 @@ from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
 from flmc.stable import StableNoise, sample_sas_vector
 from flmc.targets import (double_well_target, draw_minibatch, gaussian_target,
                           sg_gradient, synthetic_mf_target)
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_values.json")
 
 _CAPMAN = None
 
@@ -279,17 +276,15 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
                       "--drift", "simplified", "--schedule", "poly:1e-7,0.6",
                       "--n", "500", "--stride", "50", "--seed", "42"],
         "bias_k.csv": ["bias-k", "--alpha", "1.6", "--k-list", "2,5",
-                       "--n", "200", "--repeats", "2", "--seed", "0",
-                       "--fixtures", FIXTURES],
+                       "--n", "200", "--repeats", "2", "--seed", "0"],
         "bias_h.csv": ["bias-h", "--alpha", "1.5", "--h-list", "0.05,0.1",
                        "--K", "15", "--n", "200", "--repeats", "2",
-                       "--seed", "0", "--fixtures", FIXTURES],
+                       "--seed", "0"],
         "kappa.csv": ["kappa", "--alpha", "1.7,1.9", "--k-star", "40",
                       "--grid-lo", "-4", "--grid-hi", "4", "--grid-n", "9",
                       "--dump-points"],
         "alpha_sweep.csv": ["alpha-sweep", "--alpha", "1.8", "--n", "200",
-                            "--repeats", "2", "--seed", "7",
-                            "--fixtures", FIXTURES],
+                            "--repeats", "2", "--seed", "7"],
         "mf.csv": ["mf", "--alpha", "1.5", "--I", "8", "--J", "6", "--L", "2",
                    "--data-seed", "1", "--schedule", "const:1e-3",
                    "--n", "200", "--stride", "50", "--seed", "3"],

@@ -20,7 +20,7 @@ from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       build_target, drift_label, initial_states,
                       kappa_report, main, mf_report,
                       mf_rmse_curve, parse_drift, parse_list, parse_schedule,
-                      resolve_truth, schedule_label, write_json, write_report,
+                      schedule_label, write_json, write_report,
                       ExperimentReport)
 from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.oracle import SupportError
@@ -87,41 +87,10 @@ def test_initial_state_policies():
         initial_states("nowhere", 2)
 
 
-def test_resolve_truth_fixture_and_quadrature(oracle_values):
-    ref = oracle_values["double_well_mean"]["value"]
-    assert resolve_truth(FIXTURES) == ref
-    assert resolve_truth(None) == pytest.approx(ref, abs=1e-9)
-
-
-def _fixtures_file(tmp_path, text):
-    path = tmp_path / "fixtures.json"
-    path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-@pytest.mark.parametrize("text", ['{"x": 1}', "[1]", '{"double_well_mean": [1]}',
-                                  '{"double_well_mean": {}}'])
-def test_resolve_truth_rejects_a_missing_value(tmp_path, text):
-    with pytest.raises(UsageError, match="double_well_mean.value"):
-        resolve_truth(_fixtures_file(tmp_path, text))
-
-
-@pytest.mark.parametrize("value", ['"0.25"', "true", "null", "[0.25]"])
-def test_resolve_truth_rejects_a_non_numeric_value(tmp_path, value):
-    with pytest.raises(UsageError, match="double_well_mean.value"):
-        resolve_truth(_fixtures_file(
-            tmp_path, '{"double_well_mean": {"value": %s}}' % value))
-
-
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
-                                   "1" + "0" * 400],
-                         ids=["nan", "inf", "-inf", "1e999", "huge-int"])
-def test_resolve_truth_rejects_a_non_finite_value(tmp_path, value):
-    # json reads NaN and Infinity as floats, and 1e999 as inf; an integer
-    # too large for a float has no finite value either
-    with pytest.raises(UsageError, match="double_well_mean.value"):
-        resolve_truth(_fixtures_file(
-            tmp_path, '{"double_well_mean": {"value": %s}}' % value))
+def test_double_well_mean_is_the_fixture_value(oracle_values):
+    # the sweeps' truth is integrated on every run; it is the recorded
+    # value bit for bit
+    assert cli.double_well_mean() == oracle_values["double_well_mean"]["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -600,10 +569,10 @@ def test_full_drift_overflow_exits_one_without_warnings(tmp_path, capsys):
 def test_support_error_exits_one_with_diagnostic(tmp_path, capsys, monkeypatch):
     # SupportError subclasses ValueError but is a runtime failure, not a
     # usage error
-    def no_support(fixtures_path):
+    def no_support(target, g):
         raise SupportError("density mass leaks past the integration window")
 
-    monkeypatch.setattr(cli, "resolve_truth", no_support)
+    monkeypatch.setattr(cli, "quadrature_expectation", no_support)
     code = main(["bias-h", "--h-list", "0.05", "--n", "10", "--repeats", "1",
                  "--outdir", str(tmp_path)])
     assert code == 1
@@ -687,7 +656,7 @@ def _run_main(argv):
     return code, stdout.getvalue()
 
 
-_SWEEP_TAIL = ["--n", "5", "--repeats", "2", "--fixtures", FIXTURES]
+_SWEEP_TAIL = ["--n", "5", "--repeats", "2"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,27 +665,16 @@ _SWEEP_TAIL = ["--n", "5", "--repeats", "2", "--fixtures", FIXTURES]
     ["bias-h", "--alpha", "2", "--h-list", "-1"],
     ["bias-h", "--alpha", "2", "--h-list", "nan"],
     *([cmd, "--alpha", alpha, "--repeats", "0"]
-      for cmd in ("bias-k", "bias-h", "alpha-sweep") for alpha in ("1.5", "2"))],
+      for cmd in ("bias-k", "bias-h", "alpha-sweep") for alpha in ("1.5", "2")),
+    *([cmd, "--fixtures", FIXTURES] for cmd in ("bias-k", "bias-h", "alpha-sweep"))],
     ids=" ".join)
 def test_sweep_usage_error_exits_two(tmp_path, argv):
-    # the alpha = 2 cells validate h and K though their drift ignores them
+    # the alpha = 2 cells validate h and K though their drift ignores them;
+    # the sweeps read no file, so --fixtures is an unknown flag
     code, out = _run_main(argv[:1] + _SWEEP_TAIL + argv[1:]
                           + ["--outdir", str(tmp_path)])
     assert (code, out) == (2, "")
     assert os.listdir(tmp_path) == []
-
-
-@pytest.mark.parametrize("text", ['{"x": 1}', "[1]"])
-@pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
-def test_sweep_fixtures_without_value_exit_two(tmp_path, cmd, text):
-    # a fixtures file with no double_well_mean.value is a usage error, not
-    # a traceback
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    code, out = _run_main([cmd, "--n", "5", "--repeats", "2", "--fixtures",
-                           _fixtures_file(tmp_path, text), "--outdir", str(outdir)])
-    assert (code, out) == (2, "")
-    assert os.listdir(outdir) == []
 
 
 @pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
@@ -845,11 +803,10 @@ def test_sample_csv_mixing_encoded_and_declined_chunks(tmp_path, monkeypatch,
     assert out.read_bytes() == "".join(lines).encode()
 
 
-def test_bias_k_single_cell_cli(tmp_path):
+def test_bias_k_single_cell_cli(tmp_path, oracle_values):
     out = tmp_path / "bk.csv"
     code = main(["bias-k", "--alpha", "1.7", "--k-list", "5", "--n", "200",
-                 "--repeats", "2", "--seed", "0", "--fixtures", FIXTURES,
-                 "--out", str(out)])
+                 "--repeats", "2", "--seed", "0", "--out", str(out)])
     assert code == 0
     lines = [l for l in out.read_text().split("\n") if l]
     assert lines[0] == "alpha,h,K,mean_bias,se,failed_repeats"
@@ -857,13 +814,14 @@ def test_bias_k_single_cell_cli(tmp_path):
     meta = json.loads((tmp_path / "bk.csv.meta.json").read_text())
     assert meta["experiment"] == "bias-sweep"
     assert meta["init"] == "wells"
+    assert meta["truth"] == oracle_values["double_well_mean"]["value"]
 
 
 def test_bias_h_single_row_cli(tmp_path):
     out = tmp_path / "bh.csv"
     code = main(["bias-h", "--alpha", "1.5", "--h-list", "0.08", "--K", "15",
                  "--n", "200", "--repeats", "2", "--seed", "0",
-                 "--fixtures", FIXTURES, "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     lines = [l for l in out.read_text().split("\n") if l]
     assert len(lines) == 2

@@ -157,14 +157,23 @@ def test_overflow_raises_with_location():
 
 
 def test_gaussian_order_overflow_is_drift_overflow():
-    # at alpha = 2 the drift is -U'(x) on a Python float, whose x**3 raises
-    # OverflowError past 1e102; it must surface as the drift's own error
+    # at alpha = 2 the drift is -U'(x); the double well's product-form U'
+    # passes the float range without raising, and a drift of -inf must
+    # surface as the drift's own error
     with pytest.raises(DriftOverflowError) as exc:
         full_drift(DW, 1e103, FullCentered(0.06, 5), 2.0)
     assert exc.value.x == 1e103
-    # 4 x**3 passes the float range without raising: -inf is no drift either
     with pytest.raises(DriftOverflowError):
         full_drift(DW, 5e102, FullCentered(0.06, 5), 2.0)
+
+
+def test_gradient_overflow_error_is_drift_overflow():
+    # a target whose own ** raises OverflowError on a Python float: at
+    # alpha = 2 that error is the drift's overflow too
+    power = Target(dim=1, potential=lambda x: x**4, gradient=lambda x: 4.0 * x**3)
+    with pytest.raises(DriftOverflowError) as exc:
+        full_drift(power, 1e103, FullCentered(0.06, 5), 2.0)
+    assert exc.value.x == 1e103
 
 
 @settings(max_examples=300, deadline=None)

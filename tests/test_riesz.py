@@ -197,7 +197,12 @@ def test_c_alpha_values_and_monotonicity():
         c_alpha(2.2)
 
 
-@settings(max_examples=50, deadline=None)
-@given(alpha=st.floats(1.001, 2.0))
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(1.0, 2.0, exclude_min=True))
+@example(alpha=math.nextafter(1.0, 2.0))
+@example(alpha=2.0)
 def test_c_alpha_equals_zeroth_coefficient(alpha):
-    assert c_alpha(alpha) == pytest.approx(coeff(alpha - 2.0, 0), rel=1e-12)
+    # gamma = alpha - 2 and gamma/2 + 1 are exact on (1, 2], so coeff's
+    # g_0 is the closed form Gamma(alpha-1)/Gamma(alpha/2)^2 bit for bit
+    closed = math.gamma(alpha - 1.0) / math.gamma(alpha / 2.0) ** 2
+    assert c_alpha(alpha) == coeff(alpha - 2.0, 0) == closed

@@ -205,6 +205,23 @@ def test_gaussian_weighted_mean_small_over_seeds(sequential_repeats):
     assert abs(np.mean(summary.estimates)) < 0.05
 
 
+def test_simplified_drift_samples_the_stable_ou_law():
+    # on N(0, 1) the simplified drift -c_alpha x makes the chain a stable
+    # Ornstein-Uhlenbeck process, whose stationary law is SaS with scale
+    # (alpha c_alpha)^(-1/alpha): E cos X is exp(-1/(alpha c_alpha)) there
+    # and exp(-1/2) under N(0, 1). Seeds 0-19 per alpha, fixed in advance.
+    alphas, seeds = (1.5, 1.7, 1.9), range(20)
+    outcomes = run_ensemble(
+        [SamplerConfig(alpha=a, drift_spec=Simplified(), schedule=Constant(0.01),
+                       iterations=200_000, seed=s, initial_state=0.0)
+         for a in alphas for s in seeds], gaussian_target(0.0, 1.0), np.cos)
+    assert not any(isinstance(v, ChainFailure) for v in outcomes)
+    for alpha, est in zip(alphas, np.reshape(outcomes, (len(alphas), -1))):
+        mean, se = est.mean(), est.std(ddof=1) / math.sqrt(est.size)
+        assert abs(mean - math.exp(-1.0 / (alpha * c_alpha(alpha)))) <= 3.0 * se
+        assert abs(mean - math.exp(-0.5)) > 3.0 * se
+
+
 def test_full_drift_chain_runs():
     cfg = SamplerConfig(alpha=1.7, drift_spec=FullCentered(0.06, 30),
                         schedule=Polynomial(1e-7, 0.6), iterations=200, seed=1)
@@ -368,6 +385,21 @@ def test_drift_overflow_becomes_chain_failure():
         run_chain(cfg, DW)
     assert exc.value.n == 1
     assert isinstance(exc.value.cause, DriftOverflowError)
+
+
+def test_gradient_overflow_error_becomes_chain_failure():
+    # the simplified drift calls the target's gradient on a Python float,
+    # whose ** raises OverflowError past the float range: the chain fails
+    # at its first step, at the state before it, with that error as cause
+    power = Target(dim=1, potential=lambda x: x**4, gradient=lambda x: 4.0 * x**3)
+    cfg = SamplerConfig(alpha=1.7, drift_spec=Simplified(),
+                        schedule=Constant(0.01), iterations=5, seed=0,
+                        initial_state=1e103)
+    with pytest.raises(ChainFailure) as exc:
+        run_chain(cfg, power)
+    assert (exc.value.n, exc.value.state) == (1, 1e103)
+    assert type(exc.value.cause) is OverflowError
+    assert exc.value.__cause__ is exc.value.cause
 
 
 def test_all_failed_gives_nan_summary(sequential_repeats):
