@@ -143,7 +143,7 @@ def initial_states(policy: str, repeats: int):
             f"bad init '{policy}' (expected origin, wells, or a number)") from None
 
 
-def double_well_mean() -> float:
+def resolve_truth() -> float:
     """Posterior mean of the double well, the truth every bias sweep measures
     against, integrated by quadrature."""
     return quadrature_expectation(double_well_target(), lambda x: x)
@@ -429,7 +429,7 @@ def cmd_sample(args) -> int:
 
 def cmd_bias(args) -> int:
     """bias-k sweeps K at one h, bias-h sweeps h at one K."""
-    truth = double_well_mean()
+    truth = resolve_truth()
     by_k = args.cmd == "bias-k"
     report = bias_sweep_report(
         double_well_target(), parse_list(args.alpha, "alpha"),
@@ -452,7 +452,7 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_alpha_sweep(args) -> int:
-    truth = double_well_mean()
+    truth = resolve_truth()
     report = alpha_sweep_report(double_well_target(),
                                 parse_list(args.alpha, "alpha"), args.n,
                                 args.repeats, args.seed, args.init, truth)

@@ -20,7 +20,7 @@ from flmc.cli import (UsageError, alpha_sweep_report, bias_sweep_report,
                       build_target, drift_label, initial_states,
                       kappa_report, main, mf_report,
                       mf_rmse_curve, parse_drift, parse_list, parse_schedule,
-                      schedule_label, write_json, write_report,
+                      resolve_truth, schedule_label, write_json, write_report,
                       ExperimentReport)
 from flmc.drift import DriftOverflowError, FullCentered, Simplified
 from flmc.oracle import SupportError
@@ -28,8 +28,6 @@ from flmc.sampler import (ChainFailure, Constant, Polynomial, SamplerConfig,
                           run_chain, run_ensemble)
 from flmc.targets import (Target, double_well_stationary_points,
                           double_well_target, synthetic_mf_target)
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "oracle_values.json")
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +85,54 @@ def test_initial_state_policies():
         initial_states("nowhere", 2)
 
 
-def test_double_well_mean_is_the_fixture_value(oracle_values):
+def test_resolve_truth_fixture_and_quadrature(oracle_values):
     # the sweeps' truth is integrated on every run; it is the recorded
     # value bit for bit
-    assert cli.double_well_mean() == oracle_values["double_well_mean"]["value"]
+    assert resolve_truth() == oracle_values["double_well_mean"]["value"]
+
+
+def _fixtures_file(tmp_path, text):
+    path = tmp_path / "fixtures.json"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _assert_truth_file_refused(tmp_path, text):
+    # resolve_truth takes no file, and a sweep handed one through
+    # --fixtures stops at the flag: exit 2, a usage diagnostic naming the
+    # flag, nothing written
+    path = _fixtures_file(tmp_path, text)
+    with pytest.raises(TypeError):
+        resolve_truth(path)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["bias-k", "--n", "5", "--repeats", "2", "--fixtures",
+                     path, "--outdir", str(outdir)])
+    assert (code, stdout.getvalue()) == (2, "")
+    assert "unrecognized arguments: --fixtures" in stderr.getvalue()
+    assert os.listdir(outdir) == []
+
+
+@pytest.mark.parametrize("text", ['{"x": 1}', "[1]", '{"double_well_mean": [1]}',
+                                  '{"double_well_mean": {}}'])
+def test_resolve_truth_rejects_a_missing_value(tmp_path, text):
+    _assert_truth_file_refused(tmp_path, text)
+
+
+@pytest.mark.parametrize("value", ['"0.25"', "true", "null", "[0.25]"])
+def test_resolve_truth_rejects_a_non_numeric_value(tmp_path, value):
+    _assert_truth_file_refused(
+        tmp_path, '{"double_well_mean": {"value": %s}}' % value)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "1e999", "huge-int"])
+def test_resolve_truth_rejects_a_non_finite_value(tmp_path, value):
+    _assert_truth_file_refused(
+        tmp_path, '{"double_well_mean": {"value": %s}}' % value)
 
 
 # ---------------------------------------------------------------------------
@@ -665,16 +707,27 @@ _SWEEP_TAIL = ["--n", "5", "--repeats", "2"]
     ["bias-h", "--alpha", "2", "--h-list", "-1"],
     ["bias-h", "--alpha", "2", "--h-list", "nan"],
     *([cmd, "--alpha", alpha, "--repeats", "0"]
-      for cmd in ("bias-k", "bias-h", "alpha-sweep") for alpha in ("1.5", "2")),
-    *([cmd, "--fixtures", FIXTURES] for cmd in ("bias-k", "bias-h", "alpha-sweep"))],
+      for cmd in ("bias-k", "bias-h", "alpha-sweep") for alpha in ("1.5", "2"))],
     ids=" ".join)
 def test_sweep_usage_error_exits_two(tmp_path, argv):
-    # the alpha = 2 cells validate h and K though their drift ignores them;
-    # the sweeps read no file, so --fixtures is an unknown flag
+    # the alpha = 2 cells validate h and K though their drift ignores them
     code, out = _run_main(argv[:1] + _SWEEP_TAIL + argv[1:]
                           + ["--outdir", str(tmp_path)])
     assert (code, out) == (2, "")
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("text", ['{"x": 1}', "[1]"])
+@pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
+def test_sweep_fixtures_without_value_exit_two(tmp_path, cmd, text):
+    # the sweeps read no file, so --fixtures, whatever it names, is an
+    # unknown flag: a usage error, not a traceback
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, out = _run_main([cmd, "--n", "5", "--repeats", "2", "--fixtures",
+                           _fixtures_file(tmp_path, text), "--outdir", str(outdir)])
+    assert (code, out) == (2, "")
+    assert os.listdir(outdir) == []
 
 
 @pytest.mark.parametrize("cmd", ["bias-k", "bias-h", "alpha-sweep"])
