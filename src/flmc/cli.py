@@ -6,9 +6,7 @@ deterministic given flags and seed: floats print with 17 significant
 digits ('%.17g'), rows are assembled in sorted parameter order, a CSV
 field that holds a comma is quoted, metadata carries the full
 configuration echo with a null timestamp. `flmc sample` writes its trace
-rows through csvtext.write_rows.
-Environment variables only set verbosity (FLMC_VERBOSE) and the default
-output directory (FLMC_OUTDIR).
+rows through csvtext.write_rows. flmc reads no environment variable.
 """
 
 from __future__ import annotations
@@ -59,7 +57,7 @@ SCHEDULE_GRID = tuple(
 )
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -207,11 +205,7 @@ def write_report(report: ExperimentReport, out_path: str):
 
 
 def _outpath(args, default_name: str) -> str:
-    out = getattr(args, "out", None) or default_name
-    if os.path.isabs(out):
-        return out
-    outdir = getattr(args, "outdir", None) or os.environ.get("FLMC_OUTDIR", ".")
-    return os.path.join(outdir, out)
+    return os.path.join(args.outdir, args.out or default_name)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--outdir", type=str, default=None)
+        sp.add_argument("--outdir", type=str, default=".")
 
     sp = sub.add_parser("sample", help="run one chain, write the trace")
     sp.add_argument("--target", type=str, default="double-well")
@@ -551,24 +545,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if os.environ.get("FLMC_VERBOSE"):
-        logging.basicConfig(level=logging.INFO)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:  # argparse: usage errors exit 2, --help 0
         return e.code
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ChainFailure as e:
         diag = {"error": "chain-failure", "seed": e.seed, "step": e.n,
                 "state": _jsonify(np.atleast_1d(e.state)),
                 "cause": str(e.cause)}
         print(json.dumps(diag, sort_keys=True, allow_nan=False))
         return 1
-    except (DriftOverflowError, QuadratureError, SupportError, OSError) as e:
+    except (DriftOverflowError, QuadratureError, SupportError, OSError,
+            MemoryError) as e:
         # before ValueError: SupportError subclasses it but is no usage error
         print(json.dumps({"error": type(e).__name__, "detail": str(e)},
                          sort_keys=True, allow_nan=False))

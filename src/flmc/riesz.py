@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gamma as _gamma_fn, isfinite
+from math import gamma as _gamma_fn, inf, isfinite
 
 import numpy as np
 
@@ -106,6 +106,13 @@ def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
     # checked once K sizes an array, so that K * h is a float product
     if not isfinite(K * h):
         raise ValueError(f"the stencil's reach K*h must be finite, got h={h!r}, K={K}")
+    try:
+        h_gamma = h**gamma
+    except OverflowError:
+        h_gamma = inf
+    if not 0.0 < h_gamma < inf:  # the drift divides by it
+        raise ValueError(f"h**gamma must be finite and positive, got h={h!r}, "
+                         f"gamma={gamma!r}")
     offsets = np.empty(2 * K + 1, dtype=int)
     offsets[0] = 0
     offsets[1::2] = -np.arange(1, K + 1)
@@ -113,7 +120,7 @@ def build_stencil(gamma: float, h: float, K: int) -> RieszStencil:
     return RieszStencil(gamma=gamma, h=h, K=K,
                         coeffs=_read_only(coeffs), offsets=_read_only(offsets),
                         weights=_read_only(coeffs[np.abs(offsets)]),
-                        steps=_read_only(offsets * h), h_gamma=h**gamma)
+                        steps=_read_only(offsets * h), h_gamma=h_gamma)
 
 
 def ascending_sum(terms: np.ndarray):

@@ -608,6 +608,31 @@ def test_full_drift_overflow_exits_one_without_warnings(tmp_path, capsys):
     assert caught == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--alpha", "1.01", "--h", "1e-320", "--k-star", "5", "--grid-n", "3"],
+    ["bias-h", "--alpha", "1.01", "--h-list", "1e-320", "--n", "10",
+     "--repeats", "1"],
+    ["sample", "--alpha", "1.01", "--drift", "full:1e-320,5", "--n", "10"]],
+    ids=" ".join)
+def test_h_gamma_overflow_is_usage_error(tmp_path, capsys, argv):
+    # (1e-320)**-0.99 overflows a double: the flags are at fault, so exit 2
+    # with one error line, not a traceback or a chain failure
+    code = main(argv + ["--outdir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err.startswith("error: h**gamma") and out.err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_oversized_chain_exits_one_with_diagnostic(tmp_path, capsys):
+    # 10**15 recorded steps need 8 PB, beyond any address space, so the
+    # allocation fails at once
+    code = main(["sample", "--n", "1000000000000000", "--outdir", str(tmp_path)])
+    diag = json.loads(capsys.readouterr().out)
+    assert (code, diag["error"]) == (1, "MemoryError")
+    assert os.listdir(tmp_path) == []
+
+
 def test_support_error_exits_one_with_diagnostic(tmp_path, capsys, monkeypatch):
     # SupportError subclasses ValueError but is a runtime failure, not a
     # usage error
@@ -951,7 +976,10 @@ def test_kappa_warns_once_per_call(tmp_path):
     # a fresh process, whose log warnings reach stderr: one line for 4 999
     # skipped points, none when every point overflows and the diagnostic
     # names them; a warning per skipped point wrote 5 000 lines
-    env = dict(os.environ,
+    # flmc reads no environment variable, so neither of these two may
+    # change what reaches stderr
+    env = dict(os.environ, FLMC_VERBOSE="1",
+               FLMC_OUTDIR=str(tmp_path / "ignored"),
                PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
 
     def run(lo):
@@ -969,8 +997,15 @@ def test_kappa_warns_once_per_call(tmp_path):
         f"[{skipped_lo!r}, 2e+300]: skipped"])
 
 
-def test_outdir_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("FLMC_OUTDIR", str(tmp_path))
+def test_outdir_defaults_to_working_directory(tmp_path, monkeypatch):
+    # without --outdir the report lands in the working directory, whatever
+    # FLMC_OUTDIR names
+    work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+    work.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.setenv("FLMC_OUTDIR", str(elsewhere))
+    monkeypatch.chdir(work)
     assert main(["kappa", "--alpha", "1.8", "--k-star", "20", "--grid-n", "5",
                  "--grid-lo", "-4", "--grid-hi", "4"]) == 0
-    assert (tmp_path / "kappa.csv").exists()
+    assert sorted(os.listdir(work)) == ["kappa.csv", "kappa.csv.meta.json"]
+    assert os.listdir(elsewhere) == []

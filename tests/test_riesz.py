@@ -40,6 +40,10 @@ def test_gamma_domain():
         with pytest.raises(ValueError, match="finite"):
             build_stencil(-0.5, h, K)
     assert build_stencil(-0.5, 1e308, 1).steps[-1] == 1e308
+    # the drift divides by h**gamma, which must neither overflow nor vanish
+    for gamma, h, K in ((-0.99, 1e-320, 5), (1.5, 1e-300, 1)):
+        with pytest.raises(ValueError, match="h\\*\\*gamma"):
+            build_stencil(gamma, h, K)
 
 
 def test_coeff_anchor_values():
