@@ -17,7 +17,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,6 +113,17 @@ def parse_list(text: str, flag: str, kind=float):
     return vals
 
 
+def int_at_least(lo: int):
+    """argparse type of an integer flag that must be >= lo: a smaller value
+    is a usage error that names the flag, raised before anything runs."""
+    def parse(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # a non-integer keeps argparse's "invalid int value"
+    return parse
+
+
 def build_target(name: str):
     if name == "double-well":
         return double_well_target()
@@ -152,8 +163,6 @@ def resolve_truth() -> float:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
     if isinstance(v, (int, np.integer)):
@@ -212,22 +221,31 @@ def _outpath(args, default_name: str) -> str:
 # experiment bodies (also the library-level entry points used by tests)
 # ---------------------------------------------------------------------------
 
-def _repeat_cells(cells, target, repeats, seed, init_policy, truth):
-    """Bias summary of each cell, a SamplerConfig run as independent repeats.
+def _repeat_cells(cells, target, n_steps, repeats, seed, init_policy, truth):
+    """Bias summary of each (alpha, drift_spec, schedule) cell, a chain of
+    n_steps run as independent repeats.
 
-    Repeat r of every cell runs at seed repeat_seeds(seed, repeats)[r], in
-    place of the cell's own, from the init_policy's r-th start. All the
-    cells' repeats, of any alpha and drift, step in one run_ensemble call,
-    and each cell summarizes as the same chains run one at a time by
-    run_chain would.
+    Repeat r of every cell runs at seed repeat_seeds(seed, repeats)[r] from
+    the init_policy's r-th start. All the cells' repeats, of any alpha and
+    drift, step in one run_ensemble call, and each cell summarizes as the
+    same chains run one at a time by run_chain would.
     """
     inits = initial_states(init_policy, repeats)
     seeds = repeat_seeds(seed, repeats)
-    outcomes = run_ensemble([replace(cell, seed=s, initial_state=x0)
-                             for cell in cells for s, x0 in zip(seeds, inits)],
-                            target, lambda x: x)
+    outcomes = run_ensemble(
+        [SamplerConfig(alpha=alpha, drift_spec=spec, schedule=schedule,
+                       iterations=n_steps, seed=s, initial_state=x0)
+         for alpha, spec, schedule in cells for s, x0 in zip(seeds, inits)],
+        target, lambda x: x)
     return [summarize_repeats(outcomes[k:k + repeats], truth)
             for k in range(0, len(outcomes), repeats)]
+
+
+def _sweep_meta(seed, n_steps, repeats, init_policy, truth, **extra) -> dict:
+    """The metadata both bias sweeps write, with each sweep's own keys."""
+    return {"seed": seed, "iterations": n_steps, "repeats": repeats,
+            "init": init_policy, "truth": truth,
+            "bias_aggregation": "mean of absolute errors over repeats", **extra}
 
 
 def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
@@ -242,9 +260,8 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
     keys = [(alpha, h, K) for alpha in sorted(set(alphas))
             for h in sorted(set(h_values)) for K in sorted(set(K_values))]
     summaries = _repeat_cells(
-        [SamplerConfig(alpha=alpha, drift_spec=FullCentered(h, K),
-                       schedule=schedule, iterations=n_steps, seed=seed)
-         for alpha, h, K in keys], target, repeats, seed, init_policy, truth)
+        [(alpha, FullCentered(h, K), schedule) for alpha, h, K in keys],
+        target, n_steps, repeats, seed, init_policy, truth)
     rows = []
     for (alpha, h, K), summary in zip(keys, summaries):
         if summary.n_failed:
@@ -252,16 +269,8 @@ def bias_sweep_report(target, alphas, h_values, K_values, schedule, n_steps,
                         alpha, h, K, summary.n_failed)
         rows.append((alpha, h, K, summary.mean_abs_bias, summary.se,
                      summary.n_failed))
-    meta = {
-        "experiment": "bias-sweep",
-        "seed": seed,
-        "schedule": schedule_label(schedule),
-        "iterations": n_steps,
-        "repeats": repeats,
-        "init": init_policy,
-        "truth": truth,
-        "bias_aggregation": "mean of absolute errors over repeats",
-    }
+    meta = _sweep_meta(seed, n_steps, repeats, init_policy, truth,
+                       schedule=schedule_label(schedule))
     return ExperimentReport("bias-sweep",
                             ("alpha", "h", "K", "mean_bias", "se", "failed_repeats"),
                             rows, meta)
@@ -277,7 +286,6 @@ def kappa_report(target, alphas, h, K_star, grid_lo, grid_hi, grid_n) -> Experim
         rows.append((alpha, h, K_star, grid_n, res.kappa_hat, res.skipped))
         per_point[repr(alpha)] = res.per_point
     meta = {
-        "experiment": "kappa",
         "grid": {"lo": grid_lo, "hi": grid_hi, "n": grid_n},
         "per_point_kappa": per_point,
     }
@@ -296,10 +304,8 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
     """
     alphas = sorted(set(alphas))
     summaries = iter(_repeat_cells(
-        [SamplerConfig(alpha=alpha, drift_spec=Simplified(), schedule=schedule,
-                       iterations=n_steps, seed=seed)
-         for alpha in alphas for schedule in grid],
-        target, repeats, seed, init_policy, truth))
+        [(alpha, Simplified(), schedule) for alpha in alphas for schedule in grid],
+        target, n_steps, repeats, seed, init_policy, truth))
     rows = []
     cells = []
     for alpha in alphas:
@@ -319,17 +325,8 @@ def alpha_sweep_report(target, alphas, n_steps, repeats, seed, init_policy,
         schedule, summary = best
         rows.append((alpha, schedule_label(schedule), summary.mean_abs_bias,
                      summary.se, summary.n_failed))
-    meta = {
-        "experiment": "alpha-sweep",
-        "seed": seed,
-        "iterations": n_steps,
-        "repeats": repeats,
-        "init": init_policy,
-        "truth": truth,
-        "schedule_grid": [schedule_label(s) for s in grid],
-        "cells": cells,
-        "bias_aggregation": "mean of absolute errors over repeats",
-    }
+    meta = _sweep_meta(seed, n_steps, repeats, init_policy, truth, cells=cells,
+                       schedule_grid=[schedule_label(s) for s in grid])
     return ExperimentReport("alpha-sweep",
                             ("alpha", "schedule", "mean_bias", "se",
                              "failed_repeats"),
@@ -371,7 +368,6 @@ def mf_report(alphas, I, J, L, data_seed, schedule, n_steps, batch_size,
                                      batch_size, seed, stride):
             rows.append((alpha, n, rmse))
     meta = {
-        "experiment": "mf",
         "shapes": {"I": I, "J": J, "L": L},
         "data_seed": data_seed,
         "seed": seed,
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=int_at_least(0), default=0)
         sp.add_argument("--out", type=str, default=None)
         sp.add_argument("--outdir", type=str, default=".")
 
@@ -515,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-star", type=int, default=170)
     sp.add_argument("--grid-lo", type=float, default=-5.0)
     sp.add_argument("--grid-hi", type=float, default=5.0)
-    sp.add_argument("--grid-n", type=int, default=200)
+    sp.add_argument("--grid-n", type=int_at_least(1), default=200)
     sp.add_argument("--dump-points", action="store_true")
     common(sp)
     sp.set_defaults(func=cmd_kappa)
@@ -533,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--I", type=int, default=50)
     sp.add_argument("--J", type=int, default=40)
     sp.add_argument("--L", type=int, default=5)
-    sp.add_argument("--data-seed", type=int, default=0)
+    sp.add_argument("--data-seed", type=int_at_least(0), default=0)
     sp.add_argument("--schedule", type=str, default="const:3e-5")
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--batch", type=int, default=None)

@@ -36,6 +36,7 @@ __all__ = [
 
 _DIVERGENCE_BOUND = 1e12
 _NOISE_CHUNK = 1024  # most steps of noise a chain holds at a time
+_ROW_ADD_WIDTH = 256  # values per row from which _carry's row adds win
 
 
 @dataclass(frozen=True)
@@ -146,10 +147,10 @@ def _increments(alpha: float, schedule: Schedule, draws, L: np.ndarray,
 
 def _carry(B: np.ndarray, c):
     """B's rows summed in place from the carried sum c: row i becomes
-    c + B[0] + ... + B[i], in order, by row adds where a row is wider than
-    B is long and by one accumulate down axis 0 otherwise (the same bits)."""
+    c + B[0] + ... + B[i], in order, by row adds on rows of _ROW_ADD_WIDTH
+    values or more, else by one accumulate down axis 0 (the same bits)."""
     B[0] += c
-    if B[0].size > len(B):
+    if B[0].size >= _ROW_ADD_WIDTH:
         for i in range(1, len(B)):
             B[i] += B[i - 1]
     else:

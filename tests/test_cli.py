@@ -278,7 +278,7 @@ PINNED_BIAS_SWEEP = {
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_BIAS_SWEEP))
-def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
+def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label, pin_note):
     rep = bias_sweep_report(double_well_target(), (1.5, 2.0), (0.05, 0.1, 0.2),
                             (1, 5), parse_schedule(label), 300, 3, 7, "wells",
                             m_star)
@@ -286,7 +286,7 @@ def test_bias_sweep_report_pinned_bytes(tmp_path, m_star, label):
     write_report(rep, str(out))
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out, tmp_path / "bias.csv.meta.json"))
-    assert digests == PINNED_BIAS_SWEEP[label]
+    assert digests == PINNED_BIAS_SWEEP[label], pin_note
 
 
 def _spy_run_ensemble(monkeypatch):
@@ -448,13 +448,13 @@ PINNED_MF = (
     "e83a2457a5b5851757f7b19e9cb68d02c1954e1defde46b42202d9b64f63fe0d")
 
 
-def test_mf_report_pinned_bytes(tmp_path):
+def test_mf_report_pinned_bytes(tmp_path, pin_note):
     rep = mf_report((1.5, 2.0), 20, 15, 3, 1, Constant(3e-5), 200, None, 0, 25)
     out = tmp_path / "mf.csv"
     write_report(rep, str(out))
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out, tmp_path / "mf.csv.meta.json"))
-    assert digests == PINNED_MF
+    assert digests == PINNED_MF, pin_note
 
 
 # sha256 of the CSV and .meta.json of alpha_sweep_report(DW, (1.5, 1.7, 2.0),
@@ -466,7 +466,7 @@ PINNED_ALPHA_SWEEP = (
     "f99ae332efdc5f9b53d2750b69d04cddff314c64fa6ae446a6d36b603c49097a")
 
 
-def test_alpha_sweep_report_pinned_bytes(tmp_path, m_star):
+def test_alpha_sweep_report_pinned_bytes(tmp_path, m_star, pin_note):
     rep = alpha_sweep_report(double_well_target(), (1.5, 1.7, 2.0), 3000, 4, 3,
                              "wells", m_star, grid=(Constant(0.01),))
     assert rep.rows[0][4] == 1  # the pin holds a diverged repeat
@@ -474,7 +474,7 @@ def test_alpha_sweep_report_pinned_bytes(tmp_path, m_star):
     write_report(rep, str(out))
     digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
                     for p in (out, tmp_path / "alpha.csv.meta.json"))
-    assert digests == PINNED_ALPHA_SWEEP
+    assert digests == PINNED_ALPHA_SWEEP, pin_note
 
 
 def test_alpha_sweep_csv_quotes_a_poly_schedule(tmp_path, m_star):
@@ -622,6 +622,29 @@ def test_h_gamma_overflow_is_usage_error(tmp_path, capsys, argv):
     assert (code, out.out) == (2, "")
     assert out.err.startswith("error: h**gamma") and out.err.count("\n") == 1
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--seed", "-1", "--n", "10"],
+    ["bias-k", "--seed", "-1", "--n", "10", "--repeats", "1"],
+    ["mf", "--data-seed", "-1", "--n", "10"],
+    ["kappa", "--grid-n", "-1"],
+    ["kappa", "--grid-n", "0"]], ids=" ".join)
+def test_count_flag_below_its_bound_names_the_flag(tmp_path, capsys, argv):
+    # rejected as the flags are parsed, not by numpy's seeding or linspace
+    # with a message that names no flag
+    flag = argv[1]
+    bound = 1 if flag == "--grid-n" else 0
+    code = main(argv + ["--outdir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert f"error: argument {flag}: must be >= {bound}, got" in out.err
+    assert os.listdir(tmp_path) == []
+
+
+def test_non_integer_seed_keeps_argparse_message(capsys):
+    assert main(["sample", "--seed", "abc"]) == 2
+    assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_oversized_chain_exits_one_with_diagnostic(tmp_path, capsys):
@@ -796,17 +819,17 @@ def _sample_digests(tmp_path, n, stride, schedule="const:0.002"):
                  for p in (out, tmp_path / "s.csv.summary.json"))
 
 
-def test_sample_pinned_bytes(tmp_path):
-    assert _sample_digests(tmp_path, "3000", "7") == PINNED_SAMPLE
+def test_sample_pinned_bytes(tmp_path, pin_note):
+    assert _sample_digests(tmp_path, "3000", "7") == PINNED_SAMPLE, pin_note
 
 
-def test_sample_pinned_bytes_multi_chunk(tmp_path):
-    assert _sample_digests(tmp_path, "10000", "1") == PINNED_SAMPLE_MULTI_CHUNK
+def test_sample_pinned_bytes_multi_chunk(tmp_path, pin_note):
+    assert _sample_digests(tmp_path, "10000", "1") == PINNED_SAMPLE_MULTI_CHUNK, pin_note
 
 
-def test_sample_pinned_bytes_varying_eta(tmp_path):
+def test_sample_pinned_bytes_varying_eta(tmp_path, pin_note):
     assert _sample_digests(tmp_path, "10000", "1",
-                           "poly:1e-3,0.7") == PINNED_SAMPLE_POLY
+                           "poly:1e-3,0.7") == PINNED_SAMPLE_POLY, pin_note
 
 
 def test_sample_has_no_batch_flag(tmp_path, capsys):

@@ -212,10 +212,10 @@ PINNED_DRIFT = {
 
 
 @pytest.mark.parametrize("K", sorted(PINNED_DRIFT))
-def test_full_drift_pinned_bits(K):
+def test_full_drift_pinned_bits(K, pin_note):
     xs = (-3.0, -0.7, 0.5, 2.2)
     got = tuple(full_drift(DW, x, FullCentered(0.06, K), 1.5).hex() for x in xs)
-    assert got == PINNED_DRIFT[K]
+    assert got == PINNED_DRIFT[K], pin_note
 
 
 # sha256 of ",".join(full_drift(DW, x, FullCentered(h, K), alpha).hex()) over
@@ -230,11 +230,11 @@ PINNED_DRIFT_SWEEPS = {
 
 
 @pytest.mark.parametrize("alpha,h,K", sorted(PINNED_DRIFT_SWEEPS))
-def test_full_drift_pinned_sweep(alpha, h, K):
+def test_full_drift_pinned_sweep(alpha, h, K, pin_note):
     hexes = ",".join(full_drift(DW, float(x), FullCentered(h, K), alpha).hex()
                      for x in np.linspace(-4.5, 4.5, 201))
     digest = hashlib.sha256(hexes.encode()).hexdigest()
-    assert digest == PINNED_DRIFT_SWEEPS[alpha, h, K]
+    assert digest == PINNED_DRIFT_SWEEPS[alpha, h, K], pin_note
 
 
 # ---------------------------------------------------------------------------
@@ -269,13 +269,13 @@ def test_kappa_is_deterministic():
     assert np.array_equal(r1.per_point, r2.per_point)
 
 
-def test_kappa_pinned_per_point():
+def test_kappa_pinned_per_point(pin_note):
     # recorded before kappa moved onto the shared riesz stencil
     res = kappa(DW, 1.7, 0.06, 170, np.linspace(-4.5, 4.5, 20))
     assert [v.hex() for v in res.per_point.tolist()] == [
         float(v).hex() for v in (3, 7, 4, 8, 11, 4, 4, 4, 5, 5,
-                                 5, 5, 4, 4, 4, 11, 8, 4, 7, 3)]
-    assert res.kappa_hat.hex() == "0x1.6000000000000p+2"
+                                 5, 5, 4, 4, 4, 11, 8, 4, 7, 3)], pin_note
+    assert res.kappa_hat.hex() == "0x1.6000000000000p+2", pin_note
 
 
 def test_kappa_skips_overflow_points():

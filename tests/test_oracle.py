@@ -77,6 +77,16 @@ def test_refinement_budget_raises_instead_of_lying():
         adaptive_simpson(math.exp, spec)
 
 
+def test_resolution_disagreement_raises_instead_of_lying():
+    # a bump of width 0.01 at -9.6875, a point the 16-panel pass samples and
+    # the 8-panel pass, 0.3125 away at its nearest, sees as exact zeros: the
+    # coarse integral is 0.0, the fine one about 0.0177
+    def spike(x):
+        return math.exp(-((x + 9.6875) / 0.01) ** 2)
+    with pytest.raises(QuadratureError, match="resolutions disagree: 0.0 vs"):
+        adaptive_simpson(spike)
+
+
 # ---------------------------------------------------------------------------
 # spectral reference for the fractional derivative
 # ---------------------------------------------------------------------------

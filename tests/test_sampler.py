@@ -494,6 +494,24 @@ def test_ensemble_equals_run_chain(alpha, schedule, iterations, chains):
                        initial_state=x0) for h, K, seed, x0 in chains])
 
 
+@pytest.mark.parametrize("shape", [(9,), (9, 1), (40, 3), (6, 255), (6, 256),
+                                   (2, 300), (300, 2), (4, 4043)])
+def test_carry_equals_a_python_loop_sum(shape):
+    # rows narrower than _ROW_ADD_WIDTH take one accumulate, wider ones row
+    # adds; either way each column sums its terms one at a time from the
+    # carried value, as Python floats do
+    assert sampler._ROW_ADD_WIDTH == 256
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    B = rng.standard_normal(shape) * 10.0 ** rng.integers(-9, 9, shape)
+    c = rng.standard_normal(shape[1:]) if len(shape) > 1 else 0.3
+    want = np.empty_like(B).reshape(len(B), -1)
+    for j, total in enumerate(np.broadcast_to(c, want.shape[1:]).tolist()):
+        for i, term in enumerate(B.reshape(len(B), -1)[:, j].tolist()):
+            total += term
+            want[i, j] = total
+    assert sampler._carry(B, c).tobytes() == want.tobytes()
+
+
 def test_ensemble_validation():
     # rows may differ in alpha, K and kind, and run the full drift at
     # alpha = 2; each still equals its run_chain bit for bit

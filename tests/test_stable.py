@@ -123,9 +123,9 @@ _PINNED_SHA256 = {
 
 
 @pytest.mark.parametrize("alpha", sorted(_PINNED_SHA256))
-def test_draws_pinned(alpha):
+def test_draws_pinned(alpha, pin_note):
     x = sample_sas_vector(StableNoise(alpha), 1000, np.random.default_rng(12345))
-    assert hashlib.sha256(x.tobytes()).hexdigest() == _PINNED_SHA256[alpha]
+    assert hashlib.sha256(x.tobytes()).hexdigest() == _PINNED_SHA256[alpha], pin_note
 
 
 def _reference_transform(noise, V, W):
@@ -185,6 +185,20 @@ def test_transform_clamps_v_at_pi_over_2(alpha):
         noise, np.array([1, -1, 1, -1]) * stable._V_EDGE, W.copy())
     assert at_pi.tobytes() == at_edge.tobytes()
     assert np.all(np.isfinite(at_pi))
+
+
+def test_vw_stream_rejects_an_empty_stream():
+    with pytest.raises(ValueError, match="size must be >= 1, got 0"):
+        vw_stream(np.random.default_rng(0), 0)
+
+
+def test_pin_note_names_both_fingerprints(pin_note):
+    # every pinned assertion prints where its pins were recorded and what
+    # this machine's numpy computes, so a dispatch mismatch reads as one
+    recorded, here = pin_note.split("], this machine is [")
+    assert recorded.startswith("pins recorded on [numpy 2.4.6 exp:")
+    assert here.startswith(f"numpy {np.__version__} exp:") and here.endswith("]")
+    assert " power:" in recorded and " power:" in here
 
 
 def _stream(noise, size, rng, chunk):
